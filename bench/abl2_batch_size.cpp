@@ -32,7 +32,8 @@ int main() {
   auto results = runner.sweep(points, [target](const Point& p) {
     SimConfig cfg = base_config();
     cfg.driver.batch_size = p.bs;
-    cfg.driver.prefetch_enabled = false;  // isolate batching effects
+    // Isolate batching effects.
+    cfg.driver.prefetch_policy = PrefetchPolicyKind::Off;
     return run_workload(cfg, p.wl, target);
   });
 

@@ -14,15 +14,14 @@ int main() {
 
   struct Mode {
     const char* name;
-    bool adaptive;
+    PrefetchPolicyKind policy;
     std::uint32_t threshold;
-    bool prefetch;
   };
   const Mode modes[] = {
-      {"fixed_51 (default)", false, 51, true},
-      {"fixed_1 (aggressive)", false, 1, true},
-      {"prefetch_off", false, 51, false},
-      {"adaptive", true, 51, true},
+      {"fixed_51 (default)", PrefetchPolicyKind::Tree, 51},
+      {"fixed_1 (aggressive)", PrefetchPolicyKind::Tree, 1},
+      {"prefetch_off", PrefetchPolicyKind::Off, 51},
+      {"adaptive", PrefetchPolicyKind::Adaptive, 51},
   };
 
   for (const std::string wl : {"regular", "random"}) {
@@ -35,9 +34,8 @@ int main() {
                   off_time = 0;
       for (const Mode& m : modes) {
         SimConfig cfg = base_config();
-        cfg.driver.adaptive_prefetch = m.adaptive;
+        cfg.driver.prefetch_policy = m.policy;
         cfg.driver.prefetch_threshold = m.threshold;
-        cfg.driver.prefetch_enabled = m.prefetch;
         RunResult r = run_workload(cfg, wl, target);
         if (std::string(m.name) == "adaptive") {
           adaptive_time = r.total_kernel_time();

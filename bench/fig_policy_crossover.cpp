@@ -51,9 +51,9 @@ const char* mode_name(Mode m) {
 }
 
 void apply_mode(SimConfig& c, Mode m) {
-  c.driver.prefetch_enabled = m != Mode::Off;
-  c.driver.prefetch_policy =
-      m == Mode::Markov ? PrefetchPolicyKind::Markov : PrefetchPolicyKind::Tree;
+  c.driver.prefetch_policy = m == Mode::Off    ? PrefetchPolicyKind::Off
+                            : m == Mode::Tree ? PrefetchPolicyKind::Tree
+                                              : PrefetchPolicyKind::Markov;
 }
 
 /// FNV-1a over every quantity this bench reports (fig_full_scale's recipe

@@ -179,7 +179,7 @@ fi
 echo "policy-crossover gate: green"
 rm -f "$POLICY_TMP"
 
-echo "== policy-panel CLI determinism (markov + clock/2q, THREADS 1 vs 4) =="
+echo "== policy-panel CLI determinism (markov + clock/2q, legacy prefetch spellings; THREADS 1 vs 4) =="
 PP_TMP=$(mktemp -d /tmp/uvmsim-policypanel.XXXXXX)
 for ev in clock 2q; do
   PP_FLAGS=(--workload strided --size-mib 96 --gpu-mib 64
@@ -189,6 +189,25 @@ for ev in clock 2q; do
   diff -u "$PP_TMP/t1.txt" "$PP_TMP/t4.txt" > /dev/null \
     || { echo "policy-panel determinism FAILED (eviction=$ev)"; exit 1; }
   echo "uvmsim_cli markov+$ev: byte-identical at 1 and 4 lanes"
+done
+# Legacy prefetch spellings must print exactly what their single-axis
+# equivalents print, at every lane count.
+PP_BASE=(--workload strided --size-mib 96 --gpu-mib 64 --eviction clock --csv)
+for pair in "--prefetch on --prefetch-policy markov|--prefetch markov" \
+            "--prefetch on|--prefetch tree"; do
+  IFS='|' read -r -a PP_PAIR <<< "$pair"
+  read -r -a PP_LEGACY <<< "${PP_PAIR[0]}"
+  read -r -a PP_NEW <<< "${PP_PAIR[1]}"
+  for th in 1 4; do
+    UVMSIM_THREADS=$th ./build/tools/uvmsim_cli "${PP_BASE[@]}" \
+      "${PP_LEGACY[@]}" > "$PP_TMP/legacy.txt"
+    UVMSIM_THREADS=$th ./build/tools/uvmsim_cli "${PP_BASE[@]}" \
+      "${PP_NEW[@]}" > "$PP_TMP/new.txt"
+    diff -u "$PP_TMP/legacy.txt" "$PP_TMP/new.txt" > /dev/null \
+      || { echo "prefetch spelling diff FAILED (${PP_PAIR[0]} vs" \
+                "${PP_PAIR[1]}, THREADS=$th)"; exit 1; }
+  done
+  echo "uvmsim_cli ${PP_PAIR[0]} == ${PP_PAIR[1]} at 1 and 4 lanes"
 done
 rm -rf "$PP_TMP"
 

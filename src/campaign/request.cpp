@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "core/errors.h"
+#include "uvm/prefetch_policy.h"
 #include "workloads/registry.h"
 #include "workloads/trace_io.h"
 
@@ -196,10 +197,20 @@ std::string canonical_request(const RunRequest& req) {
     }
     trace_hash = hex16(mix64(fnv1a64(req.trace_content)));
   }
+  // The single-axis spellings canonicalize to the legacy pair they equal
+  // (prefetch=markov is prefetch=on prefetch-policy=markov), so both share
+  // one content address. Invalid pairs stay as spelled.
+  std::string prefetch = req.prefetch;
+  std::string predictor = req.prefetch_policy;
+  if ((prefetch == "tree" || prefetch == "markov") &&
+      (predictor == "tree" || predictor == prefetch)) {
+    predictor = prefetch;
+    prefetch = "on";
+  }
   std::ostringstream os;
   os << "workload=" << req.workload << " trace-hash=" << trace_hash
      << " size-mib=" << req.size_mib << " gpu-mib=" << req.gpu_mib
-     << " prefetch=" << req.prefetch << " threshold=" << req.threshold
+     << " prefetch=" << prefetch << " threshold=" << req.threshold
      << " policy=" << req.policy << " eviction=" << req.eviction
      << " chunking=" << req.chunking << " batch-size=" << req.batch_size
      << " thrash=" << req.thrash << " seed=" << req.seed
@@ -213,9 +224,7 @@ std::string canonical_request(const RunRequest& req) {
   // keeps the canonical line — and the content address — it was stored
   // under. New non-default keys must follow the same append-when-set rule.
   if (req.backend != "driver") os << " backend=" << req.backend;
-  if (req.prefetch_policy != "tree") {
-    os << " prefetch-policy=" << req.prefetch_policy;
-  }
+  if (predictor != "tree") os << " prefetch-policy=" << predictor;
   return os.str();
 }
 
@@ -244,30 +253,8 @@ SimConfig request_sim_config(const RunRequest& req) {
                       "wants driver|gpu, got '" + req.backend + "'");
   }
 
-  if (req.prefetch == "on") {
-    cfg.driver.prefetch_enabled = true;
-  } else if (req.prefetch == "off") {
-    cfg.driver.prefetch_enabled = false;
-  } else if (req.prefetch == "adaptive") {
-    cfg.driver.prefetch_enabled = true;
-    cfg.driver.adaptive_prefetch = true;
-  } else {
-    throw ConfigError("request.prefetch",
-                      "wants on|off|adaptive, got '" + req.prefetch + "'");
-  }
-
-  if (req.prefetch_policy == "tree") {
-    cfg.driver.prefetch_policy = PrefetchPolicyKind::Tree;
-  } else if (req.prefetch_policy == "markov") {
-    cfg.driver.prefetch_policy = PrefetchPolicyKind::Markov;
-    if (cfg.driver.adaptive_prefetch) {
-      throw ConfigError("request.prefetch-policy",
-                        "markov cannot combine with prefetch=adaptive");
-    }
-  } else {
-    throw ConfigError("request.prefetch-policy",
-                      "wants tree|markov, got '" + req.prefetch_policy + "'");
-  }
+  cfg.driver.prefetch_policy =
+      parse_prefetch_policy(req.prefetch, req.prefetch_policy, "request.");
 
   if (req.policy == "block") {
     cfg.driver.replay_policy = ReplayPolicyKind::Block;

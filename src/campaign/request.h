@@ -38,10 +38,10 @@ struct RunRequest {
   /// only when non-default, so every pre-existing request keeps the content
   /// address it was stored under.
   std::string backend = "driver";
-  std::string prefetch = "on";       ///< on | off | adaptive
-  /// Speculation predictor: "tree" (density tree) or "markov" (learned
-  /// delta predictor). Appended to the canonical line only when non-default
-  /// — same legacy-preserving rule as `backend`.
+  std::string prefetch = "on";  ///< off | on | tree | adaptive | markov
+  /// Legacy predictor alias, "tree" or "markov": names the policy behind
+  /// prefetch=on (parse_prefetch_policy). Appended to the canonical line
+  /// only when non-default — same legacy-preserving rule as `backend`.
   std::string prefetch_policy = "tree";
   std::uint32_t threshold = 51;
   std::string policy = "batch_flush";///< block | batch | batch_flush | once

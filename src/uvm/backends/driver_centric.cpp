@@ -52,10 +52,11 @@ SimTime DriverCentricBackend::service_pass() {
   if (!batch.empty()) {
     ++ctr.batches;
     // Lane stage: precompute each bin's prefetch plan from pre-walk block
-    // state. Lanes touch disjoint plan slots and only read shared state
-    // (the walk has not started, so nothing mutates under them).
+    // state, for policies that plan per bin. Lanes touch disjoint plan
+    // slots and only read shared state (the walk has not started, so
+    // nothing mutates under them).
     UVMSIM_LANE_OWNED std::vector<BinPlan> plans;
-    if (pool != nullptr && config().prefetch_enabled &&
+    if (pool != nullptr && drv_.prefetch_policy().plans_bins() &&
         batch.bins.size() > 1) {
       plans.resize(batch.bins.size());
       pool->for_lanes(batch.bins.size(), lanes,

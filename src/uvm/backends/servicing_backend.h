@@ -2,7 +2,7 @@
 // that actually resolves GPU faults.
 //
 // Driver::run_pass() owns everything backend-agnostic: the processing
-// guard, pass bookkeeping, adaptive-prefetch feedback, and the end-of-pass
+// guard, pass bookkeeping, prefetch-policy pass feedback, and the end-of-pass
 // continuation. What happens *inside* a pass — how faults leave the buffer,
 // what latency structure they pay, how pages get backing and mappings — is
 // the backend's. Two implementations exist as peers:

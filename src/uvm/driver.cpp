@@ -54,20 +54,7 @@ Driver::Driver(const DriverConfig& cfg, const CostModel& cm, const Deps& deps,
       eviction_ = std::make_unique<TwoQEviction>();
       break;
   }
-  if (cfg_.prefetch_policy == PrefetchPolicyKind::Markov) {
-    if (cfg_.adaptive_prefetch) {
-      throw ConfigError("Driver.prefetch_policy",
-                        "markov replaces the density tree whose threshold "
-                        "adaptive_prefetch tunes; the two cannot combine");
-    }
-    // MarkovPrefetcher's ctor validates the table/confidence knobs.
-    if (cfg_.prefetch_enabled) {
-      markov_ = std::make_unique<MarkovPrefetcher>(cfg_.markov);
-    }
-  }
-  if (cfg_.adaptive_prefetch) {
-    adaptive_ = std::make_unique<AdaptivePrefetcher>();
-  }
+  prefetch_ = make_prefetch_policy(cfg_);
   thrashing_ = ThrashingDetector(cfg_.thrashing);
   rng_ = Rng(cfg_.seed);
   switch (cfg_.backend) {
@@ -120,15 +107,6 @@ void Driver::on_gpu_interrupt() {
   });
 }
 
-std::uint32_t Driver::effective_threshold() const {
-  // Markov policy: the learned predictor owns speculation outright — the
-  // serial walk and the plan precompute both skip the tree stage, so this
-  // value is never consulted. Pinned past 100% anyway so any future reader
-  // sees "tree off", not a live threshold.
-  if (markov_) return 101;
-  return adaptive_ ? adaptive_->threshold() : cfg_.prefetch_threshold;
-}
-
 void Driver::run_pass() {
   if (processing_ || d_.fb->empty()) return;
   processing_ = true;
@@ -151,9 +129,7 @@ void Driver::run_pass() {
   // backend-agnostic bookkeeping around it.
   SimTime t = backend_->service_pass();
 
-  if (adaptive_) {
-    adaptive_->observe_batch(counters_.evictions - evictions_before_pass_);
-  }
+  prefetch_->observe_pass(counters_.evictions - evictions_before_pass_);
 
   servicing_host_ns_ += thread_cpu_ns() - host_t0;
   servicing_cpu_ns_ += process_cpu_ns() - cpu_t0;
@@ -178,11 +154,12 @@ void Driver::run_pass() {
   });
 }
 
-void Driver::precompute_plan(const FaultBatch::Bin& bin, BinPlan& out) {
-  const VaBlock& blk = d_.as->block(bin.block);
+PageMask Driver::need_mask(const FaultBatch::Bin& bin,
+                           const VaBlock& blk) const {
   const PageMask mapped = blk.gpu_resident | blk.remote_mapped;
   PageMask need = bin.faulted.and_not(mapped);
-  // Mirror service_bin's base-page widening so the need masks compare equal.
+  // Power9-style base pages: one fault covers the whole host page, so the
+  // service granularity widens to aligned base-page groups.
   if (cfg_.base_page_pages > 1 && need.any()) {
     PageMask widened;
     for (std::uint32_t i : need.set_bits()) {
@@ -190,21 +167,23 @@ void Driver::precompute_plan(const FaultBatch::Bin& bin, BinPlan& out) {
       std::uint32_t hi = std::min(lo + cfg_.base_page_pages, blk.num_pages);
       widened.set_range(lo, hi);
     }
-    need |= widened.and_not(mapped).and_not(need);
+    need |= widened.and_not(mapped);
   }
+  return need;
+}
+
+void Driver::precompute_plan(const FaultBatch::Bin& bin, BinPlan& out) {
+  const VaBlock& blk = d_.as->block(bin.block);
   out.eviction_epoch = blk.eviction_count;
-  out.threshold = effective_threshold();
-  out.need = need;
+  out.threshold = prefetch_->threshold();
+  out.need = need_mask(bin, blk);
   out.valid = false;
-  // The Markov policy replaces the tree stage wholesale (service_bin skips
-  // it), so a tree plan would go unused.
-  if (!cfg_.prefetch_enabled || markov_ != nullptr || need.none()) return;
+  if (out.need.none()) return;
   // Blocks bound to remote mapping never reach the prefetch stage; a plan
   // would go unused (the thrash-pin path is rarer and not predictable here —
   // such plans are simply dropped by the walk).
   if (d_.as->range(blk.range).advise.remote_map) return;
-  Prefetcher::Result pres =
-      Prefetcher::compute_fast(blk, need, cfg_.big_page_upgrade, out.threshold);
+  Prefetcher::Result pres = prefetch_->plan(blk, out.need);
   out.prefetch = pres.prefetch;
   out.tree_updates = pres.tree_updates;
   out.valid = true;
@@ -221,9 +200,8 @@ UVMSIM_ORDERED SimTime Driver::service_bin(const FaultBatch::Bin& bin,
 
   // Split stale (already resident — e.g. a Batch-policy leftover) from
   // pages that genuinely need service.
-  PageMask mapped = blk.gpu_resident | blk.remote_mapped;
-  PageMask stale = bin.faulted & mapped;
-  PageMask need = bin.faulted.and_not(mapped);
+  PageMask stale = bin.faulted & (blk.gpu_resident | blk.remote_mapped);
+  PageMask need = need_mask(bin, blk);
   counters_.stale_faults += stale.count();
 
   if (cfg_.storm.enabled) {
@@ -236,24 +214,12 @@ UVMSIM_ORDERED SimTime Driver::service_bin(const FaultBatch::Bin& bin,
     if (refaults > 0) t = storm_observe(blk.id, refaults, t);
   }
 
-  counters_.faults_serviced += need.count();
-
-  // Power9-style base pages: one fault covers the whole host page, so the
-  // service granularity widens to aligned base-page groups (§IV-A / [14]).
-  // The widened remainder is accounted separately so fault conservation
-  // (fetched == serviced + duplicate + stale) holds at every granularity.
-  if (cfg_.base_page_pages > 1 && need.any()) {
-    PageMask widened;
-    for (std::uint32_t i : need.set_bits()) {
-      std::uint32_t lo = i - i % cfg_.base_page_pages;
-      std::uint32_t hi =
-          std::min(lo + cfg_.base_page_pages, blk.num_pages);
-      widened.set_range(lo, hi);
-    }
-    PageMask fill = widened.and_not(mapped).and_not(need);
-    counters_.base_page_fill_pages += fill.count();
-    need |= fill;
-  }
+  // The base-page widening remainder is accounted separately so fault
+  // conservation (fetched == serviced + duplicate + stale) holds at every
+  // granularity.
+  const std::uint32_t faulted_need = bin.faulted.and_not(stale).count();
+  counters_.faults_serviced += faulted_need;
+  counters_.base_page_fill_pages += need.count() - faulted_need;
   prof_.add(CostCategory::ServiceOther, t - t0);
 
   // Fault log: one record per unique fault, in driver processing order.
@@ -289,65 +255,46 @@ UVMSIM_ORDERED SimTime Driver::service_bin(const FaultBatch::Bin& bin,
   // --- thrashing mitigation (perf_thrashing module) ---
   ThrashingDetector::Advice thrash_advice =
       thrashing_.on_fault(blk.id, t);
-  if (thrash_advice == ThrashingDetector::Advice::Pin) {
-    // Stop bouncing the data: serve this block's faults via remote
-    // mapping until the thrash score decays.
-    t0 = t;
-    d_.pt->map_remote(blk, need);
-    t += cm_.map_membar +
-         static_cast<SimDuration>(need.count()) * cm_.map_per_page;
-    counters_.thrash_pinned_pages += need.count();
-    prof_.add(CostCategory::ServiceMap, t - t0);
-    touch_faulted();
-    blk.service_locked = false;
-    return t;
-  }
   if (thrash_advice == ThrashingDetector::Advice::Throttle) {
     t += cfg_.thrashing.throttle_delay;
     prof_.add(CostCategory::ServiceOther, cfg_.thrashing.throttle_delay);
     ++counters_.thrash_throttles;
   }
 
-  // --- remote mapping (paper §III-A behaviour 2): map, never migrate ---
-  if (advise.remote_map) {
+  // --- remote mapping: map, never migrate. Remote-map advice (paper
+  // §III-A behaviour 2) always takes this path; a thrash pin takes it to
+  // stop bouncing the data until the block's thrash score decays.
+  const bool pin = thrash_advice == ThrashingDetector::Advice::Pin;
+  if (pin || advise.remote_map) {
     t0 = t;
     d_.pt->map_remote(blk, need);
     t += cm_.map_membar +
          static_cast<SimDuration>(need.count()) * cm_.map_per_page;
-    counters_.pages_remote_mapped += need.count();
+    (pin ? counters_.thrash_pinned_pages : counters_.pages_remote_mapped) +=
+        need.count();
     prof_.add(CostCategory::ServiceMap, t - t0);
     touch_faulted();
     blk.service_locked = false;
     return t;
   }
 
-  // --- prefetch computation (density-tree policy) ---
-  // Under the Markov policy the tree stage — including its stage-1
-  // big-page upgrade — is off entirely: demand stays 4 KB-exact and all
-  // speculation happens in markov_step below, shaped by the observed fault
-  // footprint instead of by local density.
+  // --- prefetch plan (tree-family policies) ---
+  // Policies that do not plan per bin skip this stage — including the
+  // tree's stage-1 big-page upgrade — so their demand stays 4 KB-exact.
   PageMask prefetch;
-  if (cfg_.prefetch_enabled && !markov_) {
+  if (prefetch_->plans_bins()) {
     t0 = t;
+    const std::uint32_t threshold = prefetch_->threshold();
     Prefetcher::Result pres;
     if (plan != nullptr && plan->valid &&
         plan->eviction_epoch == blk.eviction_count &&
-        plan->threshold == effective_threshold() && plan->need == need) {
+        plan->threshold == threshold && plan->need == need) {
       pres.prefetch = plan->prefetch;
       pres.tree_updates = plan->tree_updates;
       ++counters_.lane_plans_applied;
     } else {
       if (plan != nullptr) ++counters_.lane_plans_recomputed;
-      // Stale-plan recompute (and laned runs without precompute) use the
-      // word-level path; serial runs keep the tree-building reference so
-      // lanes=1 exercises the original implementation end to end. The two
-      // return identical Results (differential property test in
-      // prefetcher_test), so this cannot change output.
-      pres = cfg_.service_lanes > 1
-                 ? Prefetcher::compute_fast(blk, need, cfg_.big_page_upgrade,
-                                            effective_threshold())
-                 : Prefetcher::compute(blk, need, cfg_.big_page_upgrade,
-                                       effective_threshold());
+      pres = prefetch_->plan(blk, need);
     }
     prefetch = pres.prefetch;
     t += cm_.prefetch_compute_per_block +
@@ -356,14 +303,13 @@ UVMSIM_ORDERED SimTime Driver::service_bin(const FaultBatch::Bin& bin,
     prof_.add(CostCategory::ServiceOther, t - t0);
     trace_span(TraceCategory::Prefetch, "prefetch.compute", t0, t, blk.id,
                "tree_updates", pres.tree_updates, "pages", prefetch.count(),
-               "threshold", effective_threshold());
+               "threshold", threshold);
   }
   PageMask to_populate = need | prefetch;
 
   // --- physical backing (may evict, may restart) ---
-  bool restarted = false;
   PageMask unbacked;
-  t = ensure_backing(blk, to_populate, t, restarted, unbacked,
+  t = ensure_backing(blk, to_populate, t, unbacked,
                      /*speculative=*/prefetch.any());
 
   if (unbacked.any()) {
@@ -402,15 +348,7 @@ UVMSIM_ORDERED SimTime Driver::service_bin(const FaultBatch::Bin& bin,
   // touch before any speculative allocations this pass may append.
   touch_faulted();
 
-  // --- zero-fill never-populated pages (data born on the GPU) ---
-  PageMask zero = to_populate.and_not(blk.ever_populated);
-  if (zero.any()) {
-    t0 = t;
-    t = d_.dma->zero_fill(t, static_cast<std::uint64_t>(zero.count()) * kPageSize);
-    blk.ever_populated |= zero;
-    counters_.pages_zeroed += zero.count();
-    prof_.add(CostCategory::ServiceZero, t - t0);
-  }
+  t = zero_fill(blk, to_populate, t);
 
   // --- migrate host-resident data, coalesced into contiguous runs ---
   PageMask migrate = to_populate & blk.cpu_resident & blk.ever_populated;
@@ -444,12 +382,7 @@ UVMSIM_ORDERED SimTime Driver::service_bin(const FaultBatch::Bin& bin,
     prof_.add(CostCategory::ServiceMigrate, (t - t0) - recovery);
   }
 
-  // --- map everything we populated ---
-  t0 = t;
-  d_.pt->map_pages(blk, to_populate);
-  t += cm_.map_membar + static_cast<SimDuration>(to_populate.count()) *
-                            cm_.map_per_page;
-  prof_.add(CostCategory::ServiceMap, t - t0);
+  t = map_resident(blk, to_populate, t);
 
   // Prefetch bookkeeping.
   if (prefetch.any()) {
@@ -463,103 +396,30 @@ UVMSIM_ORDERED SimTime Driver::service_bin(const FaultBatch::Bin& bin,
       }
     }
   }
-  (void)restarted;
   t = maybe_coalesce(blk, t);
 
-  // --- learned prefetch (Markov policy): observe the transition, then
-  // speculatively populate the confident predictions. The serviced block
-  // stays locked so the speculation can never evict it.
-  if (markov_) t = markov_step(bin, t);
+  // --- speculation (learned policies): the serviced block stays locked so
+  // the speculation can never evict it.
+  t = speculate(bin, t);
 
   blk.service_locked = false;
   return t;
 }
 
-SimTime Driver::markov_step(const FaultBatch::Bin& bin, SimTime t) {
-  const VaBlockId serviced_block = bin.block;
-  markov_->observe(serviced_block);
+SimTime Driver::speculate(const FaultBatch::Bin& bin, SimTime t) {
+  speculations_.clear();
+  if (!prefetch_->speculate(bin, *d_.as, counters_, speculations_)) return t;
   ++counters_.markov_observes;
   // One table lookup + update per serviced bin: charge the same per-fault
   // rate as a tree-node update.
   t += cm_.prefetch_compute_per_fault;
   prof_.add(CostCategory::ServiceOther, cm_.prefetch_compute_per_fault);
-
-  // Online accuracy feedback: under the Markov policy every prefetched page
-  // is the predictor's, so the run-wide issued/wasted counters are its own
-  // hit-rate ledger. Once more than a quarter of a meaningful sample was
-  // evicted before first use, emissions mute (observation continues for
-  // free) — unpredictable access converges toward prefetch-off instead of
-  // paying for misspeculation. The ledger only charges under memory
-  // pressure, which is exactly when misspeculation costs anything.
-  if (counters_.pages_prefetched > 256 &&
-      counters_.prefetched_evicted_unused * 4 > counters_.pages_prefetched) {
-    return t;
-  }
-
-  // --- (a) intra-block stride continuation --------------------------------
-  // A bin whose faulted pages sit at one constant gap is a strided warp
-  // mid-block; its next faults are that gap continued. Bin-local evidence
-  // only — deterministic, and immune to the cross-block interleave that
-  // warp scheduling imposes on the serviced-bin sequence.
-  VaBlock& blk = d_.as->block(serviced_block);
-  const std::uint32_t nbits = bin.faulted.count();
-  if (nbits >= 3) {
-    std::uint32_t prev = bin.faulted.find_next_set(0);
-    std::uint32_t gap = 0;
-    bool constant = true;
-    for (std::uint32_t p = bin.faulted.find_next_set(prev + 1);
-         p < blk.num_pages; p = bin.faulted.find_next_set(p + 1)) {
-      const std::uint32_t g = p - prev;
-      if (gap == 0) {
-        gap = g;
-      } else if (g != gap) {
-        constant = false;
-        break;
-      }
-      prev = p;
-    }
-    if (constant && gap > 0) {
-      PageMask ahead;
-      std::uint64_t emit =
-          static_cast<std::uint64_t>(nbits) * markov_->config().degree;
-      for (std::uint64_t p = prev + gap; p < blk.num_pages && emit > 0;
-           p += gap, --emit) {
-        ahead.set(static_cast<std::uint32_t>(p));
-      }
-      if (ahead.any()) {
-        ++counters_.markov_predictions;
-        SimTime t0 = t;
-        t += cm_.prefetch_compute_per_block;
-        prof_.add(CostCategory::ServiceOther, t - t0);
-        t = populate_speculative(blk, ahead, t);
-      }
-    }
-  }
-
-  // --- (b) cross-block Markov chain ---------------------------------------
-  std::array<VaBlockId, MarkovPrefetcher::kMaxDegree> pred{};
-  const std::size_t n = markov_->predict(serviced_block, pred);
-  for (std::size_t i = 0; i < n; ++i) {
-    const VaBlockId nb_id = pred[i];
-    // Chains stop at the first unusable link: later links are relative to
-    // this one, so skipping it would speculate on a gap we never verified.
-    if (nb_id >= d_.as->num_blocks()) break;
-    VaBlock& nb = d_.as->block(nb_id);
-    if (!nb.valid() || nb.service_locked) break;
-    if (d_.as->range(nb.range).advise.remote_map) break;
+  for (const Speculation& sp : speculations_) {
     ++counters_.markov_predictions;
-    // The emission itself advances the history (no training): a prefetch
-    // hit never faults, and the next real fault's delta must be measured
-    // from where the stream actually is.
-    markov_->advance(nb_id);
     SimTime t0 = t;
     t += cm_.prefetch_compute_per_block;  // prediction + population setup
     prof_.add(CostCategory::ServiceOther, t - t0);
-    // Footprint projection: speculate the same page offsets the triggering
-    // bin faulted on, not the whole block. A dense sweep projects dense
-    // masks, a strided kernel projects exactly its stride set, and a wrong
-    // prediction wastes at most one bin's worth of traffic.
-    t = populate_speculative(nb, bin.faulted, t);
+    t = populate_speculative(d_.as->block(sp.block), sp.shape, t);
   }
   return t;
 }
@@ -577,15 +437,13 @@ SimTime Driver::populate_speculative(VaBlock& blk, const PageMask& shape,
   // the single release point for that block.
   const bool was_locked = blk.service_locked;
   blk.service_locked = true;
-  bool restarted = false;
   PageMask unbacked;
   // speculative=false on purpose: the tree path's root-granularity
   // speculative backing is exactly the 2 MB-per-prediction amplification
   // the paper blames for "prefetching aggravates oversubscription". The
   // learned path backs its projected footprint at demand-chunk granularity
   // instead, so a speculation costs what the equivalent demand would.
-  t = ensure_backing(blk, want, t, restarted, unbacked, /*speculative=*/false);
-  (void)restarted;  // speculation is not a fault path; no restart penalty
+  t = ensure_backing(blk, want, t, unbacked, /*speculative=*/false);
   if (unbacked.any()) {
     // Advisory: pages that cannot be backed are simply not speculated on.
     want = want.and_not(unbacked);
@@ -595,33 +453,20 @@ SimTime Driver::populate_speculative(VaBlock& blk, const PageMask& shape,
     }
   }
 
-  SimTime t0 = t;
-  PageMask zero = want.and_not(blk.ever_populated);
-  if (zero.any()) {
-    t0 = t;
-    t = d_.dma->zero_fill(
-        t, static_cast<std::uint64_t>(zero.count()) * kPageSize);
-    blk.ever_populated |= zero;
-    counters_.pages_zeroed += zero.count();
-    prof_.add(CostCategory::ServiceZero, t - t0);
-  }
-
+  t = zero_fill(blk, want, t);
   PageMask migrate = want & blk.cpu_resident & blk.ever_populated;
   if (migrate.any()) {
-    t0 = t;
+    const SimTime tm = t;
     CopyOutcome rc =
         robust_copy(Direction::HostToDevice, t, runs_to_bytes(migrate));
     t = rc.done;
     blk.cpu_resident &= ~migrate;  // paged migration unmaps the source
     counters_.pages_migrated_h2d += migrate.count();
-    prof_.add(CostCategory::ServiceMigrate, (t - t0) - rc.recovery);
+    prof_.add(CostCategory::ServiceMigrate, (t - tm) - rc.recovery);
   }
 
-  t0 = t;
-  d_.pt->map_pages(blk, want);
-  t += cm_.map_membar +
-       static_cast<SimDuration>(want.count()) * cm_.map_per_page;
-  prof_.add(CostCategory::ServiceMap, t - t0);
+  const SimTime t0 = t;  // the trace span below covers the map only
+  t = map_resident(blk, want, t);
 
   counters_.pages_prefetched += want.count();
   ++counters_.markov_blocks_prefetched;
@@ -642,8 +487,29 @@ SimTime Driver::populate_speculative(VaBlock& blk, const PageMask& shape,
   return t;
 }
 
+SimTime Driver::zero_fill(VaBlock& blk, const PageMask& pages, SimTime t) {
+  const PageMask zero = pages.and_not(blk.ever_populated);
+  if (zero.none()) return t;
+  const SimTime t0 = t;
+  t = d_.dma->zero_fill(t,
+                        static_cast<std::uint64_t>(zero.count()) * kPageSize);
+  blk.ever_populated |= zero;
+  counters_.pages_zeroed += zero.count();
+  prof_.add(CostCategory::ServiceZero, t - t0);
+  return t;
+}
+
+SimTime Driver::map_resident(VaBlock& blk, const PageMask& pages, SimTime t) {
+  d_.pt->map_pages(blk, pages);
+  const SimDuration cost =
+      cm_.map_membar +
+      static_cast<SimDuration>(pages.count()) * cm_.map_per_page;
+  prof_.add(CostCategory::ServiceMap, cost);
+  return t + cost;
+}
+
 SimTime Driver::ensure_backing(VaBlock& blk, const PageMask& to_populate,
-                               SimTime t, bool& restarted, PageMask& unbacked,
+                               SimTime t, PageMask& unbacked,
                                bool speculative) {
   // Victim eligibility is stable for the duration of this call (the
   // faulting block is fixed and no service_locked flag flips), so the
@@ -664,9 +530,9 @@ SimTime Driver::ensure_backing(VaBlock& blk, const PageMask& to_populate,
     if (!blk.backing.fragmented() &&
         (!cfg_.chunking.enabled || whole_block_demand || speculative ||
          pressure() == Pressure::None)) {
-      t = back_block_root(blk, to_populate, t, restarted, unbacked);
+      t = back_block_root(blk, to_populate, t, unbacked);
     } else {
-      t = back_block_chunks(blk, missing, t, restarted, unbacked);
+      t = back_block_chunks(blk, missing, t, unbacked);
     }
   }
   eviction_->end_victim_round();
@@ -674,9 +540,8 @@ SimTime Driver::ensure_backing(VaBlock& blk, const PageMask& to_populate,
 }
 
 SimTime Driver::back_block_root(VaBlock& blk, const PageMask& to_populate,
-                                SimTime t, bool& restarted,
-                                PageMask& unbacked) {
-  if (!alloc_backing_bytes(blk, kVaBlockSize, kVaBlockSize, t, restarted)) {
+                                SimTime t, PageMask& unbacked) {
+  if (!alloc_backing_bytes(blk, kVaBlockSize, kVaBlockSize, t)) {
     // No eligible victim (every resident block is the faulting one or a
     // locked one): leave the block unbacked and let the caller degrade its
     // pages to remote mapping.
@@ -689,8 +554,7 @@ SimTime Driver::back_block_root(VaBlock& blk, const PageMask& to_populate,
 }
 
 SimTime Driver::back_block_chunks(VaBlock& blk, const PageMask& missing,
-                                  SimTime t, bool& restarted,
-                                  PageMask& unbacked) {
+                                  SimTime t, PageMask& unbacked) {
   const bool fine = pressure() == Pressure::Fine;
   bool first_chunk = !blk.backing.any();
 
@@ -723,7 +587,7 @@ SimTime Driver::back_block_chunks(VaBlock& blk, const PageMask& missing,
     const std::uint32_t lo = g * kPagesPerBigPage;
     const std::uint32_t hi = lo + kPagesPerBigPage;
     if (big) {
-      if (!alloc_backing_bytes(blk, kBigPageSize, remaining, t, restarted)) {
+      if (!alloc_backing_bytes(blk, kBigPageSize, remaining, t)) {
         unbacked |= missing.and_not(blk.backing.backed_pages());
         return t;
       }
@@ -737,7 +601,7 @@ SimTime Driver::back_block_chunks(VaBlock& blk, const PageMask& missing,
     } else {
       for (std::uint32_t p = plan_base.find_next_set(lo); p < hi;
            p = plan_base.find_next_set(p + 1)) {
-        if (!alloc_backing_bytes(blk, kPageSize, remaining, t, restarted)) {
+        if (!alloc_backing_bytes(blk, kPageSize, remaining, t)) {
           unbacked |= missing.and_not(blk.backing.backed_pages());
           return t;
         }
@@ -755,8 +619,7 @@ SimTime Driver::back_block_chunks(VaBlock& blk, const PageMask& missing,
 }
 
 bool Driver::alloc_backing_bytes(VaBlock& blk, std::uint64_t bytes,
-                                 std::uint64_t plan_remaining, SimTime& t,
-                                 bool& restarted) {
+                                 std::uint64_t plan_remaining, SimTime& t) {
   std::uint32_t transient_failures = 0;
   for (;;) {
     auto res = d_.pma->alloc_bytes(bytes, t);
@@ -800,7 +663,6 @@ bool Driver::alloc_backing_bytes(VaBlock& blk, std::uint64_t bytes,
       ++counters_.eviction_victim_unavailable;
       return false;
     }
-    restarted = true;
     t += cm_.service_restart;
     prof_.add(CostCategory::Eviction, cm_.service_restart);
     ++counters_.service_restarts;
@@ -990,10 +852,8 @@ SimTime Driver::prefetch_pages(VirtPage first, std::uint64_t npages) {
     if (to_move.none()) continue;
 
     blk.service_locked = true;
-    bool restarted = false;
     PageMask unbacked;
-    t = ensure_backing(blk, to_move, t, restarted, unbacked,
-                       /*speculative=*/true);
+    t = ensure_backing(blk, to_move, t, unbacked, /*speculative=*/true);
     if (unbacked.any()) {
       // Bulk prefetch is advisory: pages on slices that cannot be backed
       // (no eligible victim) are simply skipped.
@@ -1015,11 +875,7 @@ SimTime Driver::prefetch_pages(VirtPage first, std::uint64_t npages) {
     trace_span(TraceCategory::Prefetch, "prefetch.bulk", t0, t, blk.id,
                "pages", to_move.count());
 
-    t0 = t;
-    d_.pt->map_pages(blk, to_move);
-    t += cm_.map_membar +
-         static_cast<SimDuration>(to_move.count()) * cm_.map_per_page;
-    prof_.add(CostCategory::ServiceMap, t - t0);
+    t = map_resident(blk, to_move, t);
 
     // No on_slice_touched here (PR-10 bugfix audit): speculative backing
     // emits exactly on_slice_allocated (inside ensure_backing). Bulk
@@ -1096,9 +952,8 @@ SimTime Driver::promote_hot_region(const AccessCounterNotification& n,
   if (remote.none()) return t;
 
   blk.service_locked = true;
-  bool restarted = false;
   PageMask unbacked;
-  t = ensure_backing(blk, remote, t, restarted, unbacked);
+  t = ensure_backing(blk, remote, t, unbacked);
   if (unbacked.any()) {
     // Promotion is opportunistic: hot pages whose slices cannot be backed
     // stay remote-mapped and may promote later.
@@ -1125,12 +980,8 @@ SimTime Driver::promote_hot_region(const AccessCounterNotification& n,
   }
   prof_.add(CostCategory::ServiceMigrate, (t - t0) - recovery);
 
-  t0 = t;
-  d_.pt->map_pages(blk, remote);
-  t += cm_.map_membar +
-       static_cast<SimDuration>(remote.count()) * cm_.map_per_page;
+  t = map_resident(blk, remote, t);
   d_.gpu->invalidate_tlbs();  // the translation kind changed
-  prof_.add(CostCategory::ServiceMap, t - t0);
 
   counters_.counter_promoted_pages += remote.count();
   for (std::uint32_t s : touched_slices(remote, kPagesPerBlock)) {

@@ -6,7 +6,7 @@
 // fetch, poll, sort, VABlock binning), services each binned VABlock
 // (physical allocation via the PMA — possibly triggering LRU eviction and a
 // service restart — zero-fill, coalesced H2D migration, page mapping with
-// membar/TLB invalidate, and the two-stage prefetcher), and then issues
+// membar/TLB invalidate, and the configured prefetch policy), and then issues
 // fault replays according to the configured policy. All driver time is
 // charged to a Profiler using the paper's cost categories, and every
 // serviced fault / prefetch / eviction is appended to the FaultLog.
@@ -22,6 +22,7 @@
 #include <span>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/fault_log.h"
 #include "core/profiler.h"
@@ -36,13 +37,12 @@
 #include "sim/event_queue.h"
 #include "sim/hazards.h"
 #include "sim/trace.h"
-#include "uvm/adaptive_prefetcher.h"
 #include "uvm/cost_model.h"
 #include "uvm/counters.h"
 #include "uvm/driver_config.h"
 #include "uvm/eviction_policy.h"
 #include "uvm/fault_batch.h"
-#include "uvm/markov_prefetcher.h"
+#include "uvm/prefetch_policy.h"
 #include "uvm/thrashing_detector.h"
 
 namespace uvmsim {
@@ -54,7 +54,7 @@ class ThreadPool;
 /// pipeline's parallel stage (PR 8). Lanes compute plans from the block
 /// state as it stands *before* the serial walk; the walk applies a plan
 /// only when nothing invalidated it in the meantime: the block's eviction
-/// epoch, the effective prefetch threshold, and the recomputed need mask
+/// epoch, the policy's prefetch threshold, and the recomputed need mask
 /// must all still match. A mid-pass eviction of the block bumps its epoch
 /// (evict_victim increments VaBlock::eviction_count unconditionally), so
 /// stale plans are detected exactly and recomputed inline — output is
@@ -62,9 +62,9 @@ class ThreadPool;
 struct BinPlan {
   bool valid = false;  ///< prefetch fields populated by the precompute
   std::uint32_t eviction_epoch = 0;  ///< VaBlock::eviction_count at plan time
-  std::uint32_t threshold = 0;       ///< effective_threshold() at plan time
+  std::uint32_t threshold = 0;  ///< PrefetchPolicy::threshold() at plan time
   PageMask need;       ///< faulted minus mapped (after base-page widening)
-  PageMask prefetch;   ///< Prefetcher result for (need, threshold)
+  PageMask prefetch;   ///< PrefetchPolicy::plan result for (need, threshold)
   std::uint32_t tree_updates = 0;  ///< cost-accounting leaf count
 };
 
@@ -133,13 +133,8 @@ class Driver {
   void set_eviction_policy(std::unique_ptr<EvictionPolicy> policy) {
     eviction_ = std::move(policy);
   }
-  /// Non-null only when adaptive prefetching is enabled.
-  [[nodiscard]] const AdaptivePrefetcher* adaptive() const {
-    return adaptive_.get();
-  }
-  /// Non-null only under PrefetchPolicyKind::Markov with prefetching on.
-  [[nodiscard]] const MarkovPrefetcher* markov() const {
-    return markov_.get();
+  [[nodiscard]] const PrefetchPolicy& prefetch_policy() const {
+    return *prefetch_;
   }
   [[nodiscard]] const ThrashingDetector& thrashing() const {
     return thrashing_;
@@ -189,7 +184,7 @@ class Driver {
   void run_pass();
   /// Services one VABlock bin; returns the advanced time cursor. A non-null
   /// `plan` substitutes the precomputed prefetch result for the inline
-  /// Prefetcher::compute call when still valid (see BinPlan); every other
+  /// PrefetchPolicy::plan call when still valid (see BinPlan); every other
   /// step — and all time charges — is the unchanged serial path.
   SimTime service_bin(const FaultBatch::Bin& bin, SimTime t,
                       const BinPlan* plan = nullptr);
@@ -197,6 +192,10 @@ class Driver {
   /// state. Pure read of driver/block state (no counters, no detector
   /// updates, no RNG) so lanes may run it concurrently over disjoint bins.
   void precompute_plan(const FaultBatch::Bin& bin, BinPlan& out);
+  /// The bin's pages that need service: faulted minus mapped, widened to
+  /// aligned base-page groups on Power9-style hosts (§IV-A / [14]).
+  [[nodiscard]] PageMask need_mask(const FaultBatch::Bin& bin,
+                                   const VaBlock& blk) const;
   /// Guarantees GPU backing for every page in `to_populate`, evicting as
   /// needed. Plentiful memory (or whole-block demand) backs the block with
   /// one 2 MB root chunk — byte-identical to the historical whole-block
@@ -204,29 +203,31 @@ class Driver {
   /// sub-chunks instead. `speculative` demand (the prefetcher betting on
   /// density) also takes the root chunk: the real driver's prefetch path
   /// populates at block granularity, which is exactly why prefetching can
-  /// aggravate oversubscription. Sets `restarted` when an eviction forced
-  /// the fault path to restart. Pages that cannot be backed (no eligible
+  /// aggravate oversubscription. Pages that cannot be backed (no eligible
   /// eviction victim) accumulate in `unbacked` for the caller to degrade
   /// to remote mapping.
   SimTime ensure_backing(VaBlock& blk, const PageMask& to_populate, SimTime t,
-                         bool& restarted, PageMask& unbacked,
-                         bool speculative = false);
+                         PageMask& unbacked, bool speculative = false);
   /// Root-chunk backing for a block with no prior backing (stock path).
   SimTime back_block_root(VaBlock& blk, const PageMask& to_populate, SimTime t,
-                          bool& restarted, PageMask& unbacked);
+                          PageMask& unbacked);
   /// Sub-chunk backing for `missing` under memory pressure: 64 KB chunks
   /// for fully-wanted big pages (or all groups above the fine watermark),
   /// 4 KB chunks for the rest.
   SimTime back_block_chunks(VaBlock& blk, const PageMask& missing, SimTime t,
-                            bool& restarted, PageMask& unbacked);
+                            PageMask& unbacked);
   /// Allocates `bytes` of PMA backing for `blk`, retrying through transient
   /// RM failures (backoff) and capacity exhaustion (eviction + restart
-  /// penalty). `plan_remaining` is the total still needed by the caller's
-  /// backing plan, so one eviction can free enough for the whole remainder.
-  /// Returns false when no eviction victim was available.
+  /// penalty, counted in service_restarts). `plan_remaining` is the total
+  /// still needed by the caller's backing plan, so one eviction can free
+  /// enough for the whole remainder. Returns false when no eviction victim
+  /// was available.
   bool alloc_backing_bytes(VaBlock& blk, std::uint64_t bytes,
-                           std::uint64_t plan_remaining, SimTime& t,
-                           bool& restarted);
+                           std::uint64_t plan_remaining, SimTime& t);
+  /// Zero-fills the never-populated pages of `pages` (data born on the GPU).
+  SimTime zero_fill(VaBlock& blk, const PageMask& pages, SimTime t);
+  /// Maps `pages` GPU-resident: one membar plus a per-page PTE write.
+  SimTime map_resident(VaBlock& blk, const PageMask& pages, SimTime t);
   /// Re-merges a fully-backed full block's sub-chunks into one root chunk
   /// (PMA bytes unchanged: 512 backed pages == 2 MB exactly).
   SimTime maybe_coalesce(VaBlock& blk, SimTime t);
@@ -268,12 +269,12 @@ class Driver {
   SimTime drain_access_counters(SimTime t);
   /// Migrates a hot remote-mapped big page to local GPU memory.
   SimTime promote_hot_region(const AccessCounterNotification& n, SimTime t);
-  /// Learned-prefetch step for one serviced bin (Markov policy only):
-  /// feeds the block into the delta history, then speculatively populates
-  /// the confident chained predictions. Called only from the serial bin
-  /// walk — the single ordering authority — so the predictor sees one
+  /// Speculation step for one serviced bin: asks the prefetch policy what
+  /// to populate and populates it, charging one predictor lookup plus one
+  /// setup per population. Called only from the serial bin walk — the
+  /// single ordering authority — so a learned policy sees one
   /// deterministic trace for every lane count.
-  SimTime markov_step(const FaultBatch::Bin& bin, SimTime t);
+  SimTime speculate(const FaultBatch::Bin& bin, SimTime t);
   /// Speculatively backs, fills, migrates, and maps the absent pages of
   /// `blk` covered by `shape` (the triggering bin's fault footprint,
   /// projected). Backs at demand-chunk granularity — not the tree path's
@@ -282,9 +283,6 @@ class Driver {
   /// is not a use, and touch-sensitive policies (CLOCK/2Q) must see
   /// prefetched-but-never-demanded data as eviction fodder.
   SimTime populate_speculative(VaBlock& blk, const PageMask& shape, SimTime t);
-  /// Density threshold for this pass (config or adaptive; pinned past 100
-  /// under the Markov policy, where the tree stage is skipped outright).
-  [[nodiscard]] std::uint32_t effective_threshold() const;
 
   /// Per-thread CPU clock (ns) for servicing-path host accounting — immune
   /// to preemption by other processes, unlike a wall clock.
@@ -319,8 +317,8 @@ class Driver {
   Profiler prof_;
   FaultLog log_;
   std::unique_ptr<EvictionPolicy> eviction_;
-  std::unique_ptr<AdaptivePrefetcher> adaptive_;
-  std::unique_ptr<MarkovPrefetcher> markov_;
+  std::unique_ptr<PrefetchPolicy> prefetch_;
+  std::vector<Speculation> speculations_;  ///< speculate() scratch, reused
   ThrashingDetector thrashing_{ThrashingDetector::Config{}};
   LogHistogram queue_latency_;
   std::uint64_t servicing_host_ns_ = 0;

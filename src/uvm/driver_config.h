@@ -75,15 +75,13 @@ enum class EvictionPolicyKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(EvictionPolicyKind k);
 
-/// Which predictor drives speculative population while prefetching is
-/// enabled (`prefetch_enabled`); `prefetch_enabled = false` is the third
-/// "off" mode of the prefetch-policy axis.
+/// Prefetch-policy selector (the PrefetchPolicy seam, uvm/prefetch_policy.h).
 enum class PrefetchPolicyKind : std::uint8_t {
-  Tree,    ///< the paper's static two-stage density tree (default)
-  Markov,  ///< deterministic online-learned delta-Markov predictor
+  Off,       ///< no prefetching (uvm_perf_prefetch_enable = 0)
+  Tree,      ///< the paper's static two-stage density tree (default)
+  Adaptive,  ///< the tree, threshold tuned from eviction load (§VI-B)
+  Markov,    ///< deterministic online-learned delta-Markov predictor
 };
-
-[[nodiscard]] const char* to_string(PrefetchPolicyKind k);
 
 /// Knobs for the online-learned prefetcher (PrefetchPolicyKind::Markov):
 /// a bounded direct-mapped table over VABlock-delta history with saturating
@@ -176,15 +174,14 @@ struct DriverConfig {
   /// migration — keep false to reproduce the paper.
   bool pipelined_migrations = false;
 
-  /// Master prefetch switch (uvm_perf_prefetch_enable).
-  bool prefetch_enabled = true;
-  /// Which predictor speculates when prefetching is enabled. Markov
-  /// replaces the density tree with the online-learned delta predictor
-  /// (stage-1 big-page upgrade of faulted pages still applies).
+  /// Which prefetch policy runs on the fault-service path. Markov replaces
+  /// the density tree — its stage-1 big-page upgrade included — with the
+  /// online-learned delta predictor.
   PrefetchPolicyKind prefetch_policy = PrefetchPolicyKind::Tree;
   /// Learned-prefetcher knobs (PrefetchPolicyKind::Markov only).
   MarkovPrefetchConfig markov;
-  /// Density threshold percent (uvm_perf_prefetch_threshold, default 51).
+  /// Density threshold percent (uvm_perf_prefetch_threshold, default 51;
+  /// the Tree policy's — Adaptive tunes its own).
   std::uint32_t prefetch_threshold = 51;
   /// Stage-1 upgrade of each faulted 4 KB page to its 64 KB big page.
   bool big_page_upgrade = true;
@@ -194,9 +191,6 @@ struct DriverConfig {
   /// GpuEngine::Config::fault_granularity_pages. SimConfig::set_host_page_
   /// size() sets both.
   std::uint32_t base_page_pages = 1;
-  /// §VI-B adaptive prefetching: auto-tunes the threshold from the observed
-  /// fault/eviction load (overrides prefetch_threshold when enabled).
-  bool adaptive_prefetch = false;
 
   EvictionPolicyKind eviction_policy = EvictionPolicyKind::Lru;
 

@@ -89,4 +89,81 @@ std::size_t MarkovPrefetcher::predict(
   return n;
 }
 
+bool MarkovPrefetcher::speculate(const FaultBatch::Bin& bin,
+                                 const AddressSpace& as,
+                                 const DriverCounters& c,
+                                 std::vector<Speculation>& out) {
+  observe(bin.block);
+
+  // Online accuracy feedback: under this policy every prefetched page is
+  // the predictor's, so the run-wide issued/wasted counters are its own
+  // hit-rate ledger. Once more than a quarter of a meaningful sample was
+  // evicted before first use, emissions mute (observation continues for
+  // free) — unpredictable access converges toward prefetch-off instead of
+  // paying for misspeculation. The ledger only charges under memory
+  // pressure, which is exactly when misspeculation costs anything.
+  if (c.pages_prefetched > 256 &&
+      c.prefetched_evicted_unused * 4 > c.pages_prefetched) {
+    return true;
+  }
+
+  // --- (a) intra-block stride continuation --------------------------------
+  // A bin whose faulted pages sit at one constant gap is a strided warp
+  // mid-block; its next faults are that gap continued. Bin-local evidence
+  // only — deterministic, and immune to the cross-block interleave that
+  // warp scheduling imposes on the serviced-bin sequence.
+  const VaBlock& blk = as.block(bin.block);
+  const std::uint32_t nbits = bin.faulted.count();
+  if (nbits >= 3) {
+    std::uint32_t prev = bin.faulted.find_next_set(0);
+    std::uint32_t gap = 0;
+    bool constant = true;
+    for (std::uint32_t p = bin.faulted.find_next_set(prev + 1);
+         p < blk.num_pages; p = bin.faulted.find_next_set(p + 1)) {
+      const std::uint32_t g = p - prev;
+      if (gap == 0) {
+        gap = g;
+      } else if (g != gap) {
+        constant = false;
+        break;
+      }
+      prev = p;
+    }
+    if (constant && gap > 0) {
+      PageMask ahead;
+      std::uint64_t emit =
+          static_cast<std::uint64_t>(nbits) * cfg_.degree;
+      for (std::uint64_t p = prev + gap; p < blk.num_pages && emit > 0;
+           p += gap, --emit) {
+        ahead.set(static_cast<std::uint32_t>(p));
+      }
+      if (ahead.any()) out.push_back({bin.block, ahead});
+    }
+  }
+
+  // --- (b) cross-block Markov chain ---------------------------------------
+  std::array<VaBlockId, kMaxDegree> pred{};
+  const std::size_t n = predict(bin.block, pred);
+  for (std::size_t i = 0; i < n; ++i) {
+    const VaBlockId nb_id = pred[i];
+    // Chains stop at the first unusable link: later links are relative to
+    // this one, so skipping it would speculate on a gap we never verified.
+    // Populating earlier links changes none of these checks.
+    if (nb_id >= as.num_blocks()) break;
+    const VaBlock& nb = as.block(nb_id);
+    if (!nb.valid() || nb.service_locked) break;
+    if (as.range(nb.range).advise.remote_map) break;
+    // The emission itself advances the history (no training): a prefetch
+    // hit never faults, and the next real fault's delta must be measured
+    // from where the stream actually is.
+    advance(nb_id);
+    // Footprint projection: speculate the same page offsets the triggering
+    // bin faulted on, not the whole block. A dense sweep projects dense
+    // masks, a strided kernel projects exactly its stride set, and a wrong
+    // prediction wastes at most one bin's worth of traffic.
+    out.push_back({nb_id, bin.faulted});
+  }
+  return true;
+}
+
 }  // namespace uvmsim

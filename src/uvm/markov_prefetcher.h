@@ -40,10 +40,11 @@
 
 #include "mem/constants.h"
 #include "uvm/driver_config.h"
+#include "uvm/prefetch_policy.h"
 
 namespace uvmsim {
 
-class MarkovPrefetcher {
+class MarkovPrefetcher final : public PrefetchPolicy {
  public:
   /// Hard ceiling on chained predictions per observe step.
   static constexpr std::size_t kMaxDegree = 8;
@@ -70,6 +71,12 @@ class MarkovPrefetcher {
   /// underflow block 0. No allocation — safe on the hot servicing path.
   [[nodiscard]] std::size_t predict(
       VaBlockId from, std::array<VaBlockId, kMaxDegree>& out) const;
+
+  /// Observes the bin, then (unless muted) emits the stride continuation
+  /// and the chained predictions as speculations.
+  bool speculate(const FaultBatch::Bin& bin, const AddressSpace& as,
+                 const DriverCounters& c,
+                 std::vector<Speculation>& out) override;
 
   /// Transitions observed (table updates attempted).
   [[nodiscard]] std::uint64_t observes() const { return observes_; }

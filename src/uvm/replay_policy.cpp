@@ -44,12 +44,4 @@ const char* to_string(EvictionPolicyKind k) {
   return "unknown";
 }
 
-const char* to_string(PrefetchPolicyKind k) {
-  switch (k) {
-    case PrefetchPolicyKind::Tree: return "tree";
-    case PrefetchPolicyKind::Markov: return "markov";
-  }
-  return "unknown";
-}
-
 }  // namespace uvmsim

@@ -1,4 +1,4 @@
-#include "uvm/adaptive_prefetcher.h"
+#include "uvm/prefetch_policy.h"
 
 #include <gtest/gtest.h>
 
@@ -13,9 +13,9 @@ TEST(AdaptivePrefetcher, StartsAggressive) {
 
 TEST(AdaptivePrefetcher, EvictionEscalates) {
   AdaptivePrefetcher ap;
-  ap.observe_batch(3);
+  ap.observe_pass(3);
   EXPECT_EQ(ap.threshold(), 51u);
-  ap.observe_batch(1);
+  ap.observe_pass(1);
   EXPECT_EQ(ap.threshold(), 101u);
   EXPECT_FALSE(ap.density_enabled());
   EXPECT_EQ(ap.escalations(), 2u);
@@ -23,7 +23,7 @@ TEST(AdaptivePrefetcher, EvictionEscalates) {
 
 TEST(AdaptivePrefetcher, SaturatesAtDisabled) {
   AdaptivePrefetcher ap;
-  for (int i = 0; i < 10; ++i) ap.observe_batch(1);
+  for (int i = 0; i < 10; ++i) ap.observe_pass(1);
   EXPECT_EQ(ap.threshold(), 101u);
   EXPECT_EQ(ap.escalations(), 2u);  // only two ladder steps exist
 }
@@ -32,12 +32,12 @@ TEST(AdaptivePrefetcher, CalmBatchesDeescalate) {
   AdaptivePrefetcher::Config cfg;
   cfg.cooldown_batches = 3;
   AdaptivePrefetcher ap(cfg);
-  ap.observe_batch(1);  // -> 51
+  ap.observe_pass(1);  // -> 51
   EXPECT_EQ(ap.threshold(), 51u);
-  ap.observe_batch(0);
-  ap.observe_batch(0);
+  ap.observe_pass(0);
+  ap.observe_pass(0);
   EXPECT_EQ(ap.threshold(), 51u);  // cooldown not reached
-  ap.observe_batch(0);
+  ap.observe_pass(0);
   EXPECT_EQ(ap.threshold(), 1u);
   EXPECT_EQ(ap.deescalations(), 1u);
 }
@@ -46,21 +46,21 @@ TEST(AdaptivePrefetcher, EvictionResetsCooldown) {
   AdaptivePrefetcher::Config cfg;
   cfg.cooldown_batches = 3;
   AdaptivePrefetcher ap(cfg);
-  ap.observe_batch(1);
-  ap.observe_batch(0);
-  ap.observe_batch(0);
-  ap.observe_batch(1);  // escalate again, cooldown resets
+  ap.observe_pass(1);
+  ap.observe_pass(0);
+  ap.observe_pass(0);
+  ap.observe_pass(1);  // escalate again, cooldown resets
   EXPECT_EQ(ap.threshold(), 101u);
-  ap.observe_batch(0);
-  ap.observe_batch(0);
+  ap.observe_pass(0);
+  ap.observe_pass(0);
   EXPECT_EQ(ap.threshold(), 101u);
-  ap.observe_batch(0);
+  ap.observe_pass(0);
   EXPECT_EQ(ap.threshold(), 51u);
 }
 
 TEST(AdaptivePrefetcher, StaysAggressiveWhileCalm) {
   AdaptivePrefetcher ap;
-  for (int i = 0; i < 100; ++i) ap.observe_batch(0);
+  for (int i = 0; i < 100; ++i) ap.observe_pass(0);
   EXPECT_EQ(ap.threshold(), 1u);
   EXPECT_EQ(ap.deescalations(), 0u);
 }
@@ -70,7 +70,7 @@ TEST(AdaptivePrefetcher, CustomLadder) {
   cfg.levels = {10, 60, 101};
   AdaptivePrefetcher ap(cfg);
   EXPECT_EQ(ap.threshold(), 10u);
-  ap.observe_batch(1);
+  ap.observe_pass(1);
   EXPECT_EQ(ap.threshold(), 60u);
 }
 

@@ -165,6 +165,39 @@ TEST_F(CampaignTest, PrefetchPolicyKeyPreservesLegacyContentAddresses) {
             std::string::npos);
 }
 
+TEST_F(CampaignTest, LegacyPrefetchSpellingsKeepPinnedRequestIds) {
+  // Content addresses of every accepted legacy prefetch x prefetch-policy
+  // spelling, pinned as computed before prefetch became one policy axis:
+  // cached results stored under them must stay addressable.
+  const std::pair<const char*, const char*> kPinned[] = {
+      {"prefetch=on", "8486b783e535e317"},
+      {"prefetch=on prefetch-policy=tree", "8486b783e535e317"},
+      {"prefetch=on prefetch-policy=markov", "fc7115d6c6ed33a6"},
+      {"prefetch=off", "5b93f8aa7635113c"},
+      {"prefetch=off prefetch-policy=tree", "5b93f8aa7635113c"},
+      {"prefetch=off prefetch-policy=markov", "f311839fa2f533d7"},
+      {"prefetch=adaptive", "caf294e04fef8d76"},
+      {"prefetch=adaptive prefetch-policy=tree", "caf294e04fef8d76"},
+  };
+  const auto id_of = [](const std::string& spelling) {
+    return request_id(
+        parse_request_line("workload=sgemm size-mib=96 " + spelling));
+  };
+  for (const auto& [spelling, id] : kPinned) {
+    EXPECT_EQ(id_of(spelling), id) << spelling;
+  }
+
+  // The single-axis spellings share the address of their legacy equal.
+  EXPECT_EQ(id_of("prefetch=tree"), "8486b783e535e317");
+  EXPECT_EQ(id_of("prefetch=markov"), "fc7115d6c6ed33a6");
+  EXPECT_EQ(request_sim_config(parse_request_line(tiny("prefetch=markov")))
+                .driver.prefetch_policy,
+            PrefetchPolicyKind::Markov);
+  EXPECT_EQ(request_sim_config(parse_request_line(tiny("prefetch=adaptive")))
+                .driver.prefetch_policy,
+            PrefetchPolicyKind::Adaptive);
+}
+
 TEST_F(CampaignTest, PrefetchPolicyKeyMapsToConfigAndCliArgs) {
   const RunRequest markov = parse_request_line(tiny("prefetch-policy=markov"));
   EXPECT_EQ(request_sim_config(markov).driver.prefetch_policy,

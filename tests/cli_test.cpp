@@ -83,6 +83,20 @@ TEST(Cli, MarkovRejectsAdaptivePrefetchCombination) {
   EXPECT_NE(r.exit_code, 0);
 }
 
+TEST(Cli, SingleAxisPrefetchSpellingsMatchLegacy) {
+  const std::string base =
+      "--workload strided --size-mib 8 --gpu-mib 4 --eviction clock ";
+  const CmdResult markov = run_cli(base + "--prefetch markov");
+  EXPECT_EQ(markov.exit_code, 0) << markov.output;
+  EXPECT_EQ(markov.output,
+            run_cli(base + "--prefetch on --prefetch-policy markov").output);
+  EXPECT_EQ(run_cli(base + "--prefetch tree").output, run_cli(base).output);
+  // A usage error (exit 1), like every other bad flag value.
+  EXPECT_EQ(run_cli(base + "--prefetch tree --prefetch-policy markov")
+                .exit_code,
+            1);
+}
+
 TEST(Cli, PolicyPanelOutputIsLaneInvariant) {
   // The PR-10 determinism contract at the CLI level: the learned prefetcher
   // and the new eviction policies must print byte-identical reports for any

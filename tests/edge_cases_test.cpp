@@ -78,27 +78,34 @@ TEST(EdgeCases, OnePageOverCapacityEvicts) {
   EXPECT_LE(r.resident_pages_at_end * kPageSize, cfg.gpu_memory());
 }
 
+/// The driver's adaptive policy; null under any other policy.
+const AdaptivePrefetcher* adaptive_of(Simulator& sim) {
+  return dynamic_cast<const AdaptivePrefetcher*>(
+      &sim.driver().prefetch_policy());
+}
+
 TEST(EdgeCases, AdaptivePrefetchEscalatesUnderPressure) {
   SimConfig cfg = base();
-  cfg.driver.adaptive_prefetch = true;
+  cfg.driver.prefetch_policy = PrefetchPolicyKind::Adaptive;
   Simulator sim(cfg);
   auto wl = make_workload("regular", 24ull << 20);  // 150 %
   wl->setup(sim);
   RunResult r = sim.run();
-  ASSERT_NE(sim.driver().adaptive(), nullptr);
-  EXPECT_GT(sim.driver().adaptive()->escalations(), 0u);
+  ASSERT_NE(adaptive_of(sim), nullptr);
+  EXPECT_GT(adaptive_of(sim)->escalations(), 0u);
   EXPECT_GT(r.counters.evictions, 0u);
 }
 
 TEST(EdgeCases, AdaptiveStaysAggressiveUndersubscribed) {
   SimConfig cfg = base();
-  cfg.driver.adaptive_prefetch = true;
+  cfg.driver.prefetch_policy = PrefetchPolicyKind::Adaptive;
   Simulator sim(cfg);
   auto wl = make_workload("regular", 4ull << 20);
   wl->setup(sim);
   sim.run();
-  EXPECT_EQ(sim.driver().adaptive()->threshold(), 1u);
-  EXPECT_EQ(sim.driver().adaptive()->escalations(), 0u);
+  ASSERT_NE(adaptive_of(sim), nullptr);
+  EXPECT_EQ(adaptive_of(sim)->threshold(), 1u);
+  EXPECT_EQ(adaptive_of(sim)->escalations(), 0u);
 }
 
 TEST(EdgeCases, AccessCounterEvictionEndToEnd) {
@@ -140,7 +147,7 @@ TEST(EdgeCases, ManyRangesInterleaved) {
   SimConfig cfg = base();
   // Demand paging only: each access then faults exactly once, independent
   // of how the backing policy shapes residency under pressure.
-  cfg.driver.prefetch_enabled = false;
+  cfg.driver.prefetch_policy = PrefetchPolicyKind::Off;
   Simulator sim(cfg);
   // 16 small allocations, one kernel touching them all round-robin.
   std::vector<const VaRange*> ranges;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "analyzer.h"
 #include "baseline.h"
@@ -188,7 +189,12 @@ TEST(LintProject, BaselineSplitsFreshKnownAndStale) {
 class LintIndexCache : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "uvmsim_lint_cache_test";
+    // One directory per test process: ctest runs the cases of this fixture
+    // in parallel, and a shared directory let one case's SetUp/TearDown
+    // delete the other's cache mid-run.
+    dir_ = fs::path(::testing::TempDir()) /
+           ("uvmsim_lint_cache_test_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_ / "cache");
     write(dir_ / "a.cpp", "int alpha(int x) { return x + 1; }\n");

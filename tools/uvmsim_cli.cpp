@@ -26,6 +26,7 @@
 #include "core/report.h"
 #include "baseline/explicit_transfer.h"
 #include "core/simulator.h"
+#include "uvm/prefetch_policy.h"
 #include "uvm/replay_policy.h"
 #include "workloads/registry.h"
 #include "workloads/trace_io.h"
@@ -48,8 +49,8 @@ struct CliOptions {
   /// serial), 0 = hardware concurrency.
   std::int64_t lanes = -1;
   std::string backend = "driver";  // driver | gpu
-  std::string prefetch = "on";  // on | off | adaptive
-  std::string prefetch_policy = "tree";  // tree | markov
+  std::string prefetch = "on";  // off | on | tree | adaptive | markov
+  std::string prefetch_policy = "tree";  // legacy alias: tree | markov
   std::uint32_t threshold = 51;
   std::string policy = "batch_flush";
   std::string eviction = "lru";  // lru | access_counter | clock | 2q
@@ -94,11 +95,11 @@ options:
   --backend B          driver | gpu — fault-servicing backend: the CPU
                        driver's batched path, or GPUVM-style per-fault
                        GPU-side resolution (default driver)
-  --prefetch MODE      on | off | adaptive (default on)
-  --prefetch-policy P  tree | markov — which predictor speculates while
-                       prefetching is on: the paper's static density tree,
-                       or the online-learned delta-Markov table (default
-                       tree; markov cannot combine with --prefetch adaptive)
+  --prefetch P         off | on | tree | adaptive | markov (default on = tree):
+                       none, the paper's density tree, the tree with its
+                       threshold tuned from eviction load, or the learned
+                       delta-Markov table
+  --prefetch-policy P  tree | markov — legacy alias: the policy behind on
   --threshold P        density threshold percent 1..100 (default 51)
   --policy P           block | batch | batch_flush | once (default batch_flush)
   --eviction P         lru | access_counter | clock | 2q (default lru);
@@ -306,30 +307,11 @@ std::optional<SimConfig> to_config(const CliOptions& o) {
     return std::nullopt;
   }
 
-  if (o.prefetch == "on") {
-    cfg.driver.prefetch_enabled = true;
-  } else if (o.prefetch == "off") {
-    cfg.driver.prefetch_enabled = false;
-  } else if (o.prefetch == "adaptive") {
-    cfg.driver.prefetch_enabled = true;
-    cfg.driver.adaptive_prefetch = true;
-  } else {
-    std::cerr << "bad --prefetch: " << o.prefetch << "\n";
-    return std::nullopt;
-  }
-
-  if (o.prefetch_policy == "tree") {
-    cfg.driver.prefetch_policy = PrefetchPolicyKind::Tree;
-  } else if (o.prefetch_policy == "markov") {
-    cfg.driver.prefetch_policy = PrefetchPolicyKind::Markov;
-    if (cfg.driver.adaptive_prefetch) {
-      std::cerr << "bad --prefetch-policy: markov cannot combine with "
-                   "--prefetch adaptive\n";
-      return std::nullopt;
-    }
-  } else {
-    std::cerr << "bad --prefetch-policy: " << o.prefetch_policy
-              << " (tree | markov)\n";
+  try {
+    cfg.driver.prefetch_policy =
+        parse_prefetch_policy(o.prefetch, o.prefetch_policy, "--");
+  } catch (const ConfigError& e) {
+    std::cerr << "bad " << e.what() << "\n";  // a usage error, not exit 2
     return std::nullopt;
   }
 
