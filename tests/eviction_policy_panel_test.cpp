@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -35,6 +36,11 @@ struct PolicyParam {
   const char* name;
   std::unique_ptr<EvictionPolicy> (*make)();
 };
+
+// Print the policy name, not the raw struct bytes: gtest puts the printed
+// param into each test's listed name, and the bytes of the two pointers
+// change from run to run under address-space randomisation.
+void PrintTo(const PolicyParam& p, std::ostream* os) { *os << p.name; }
 
 std::unique_ptr<EvictionPolicy> make_lru() {
   return std::make_unique<LruEviction>();
