@@ -1,29 +1,24 @@
-// Full-scale Titan V fidelity bench (PR 8): the paper's hardware scale —
+// Full-scale Titan V determinism check: the paper's hardware scale —
 // 12 GB GPU memory, 80 SMs, a multi-GiB oversubscribed working set, millions
 // of 4 KB pages — driven once on the serial servicing path and once with
-// intra-run servicing lanes, proving two claims at once:
+// intra-run servicing lanes. The simulated run (end-to-end time + every
+// counter that reaches a report) must be bit-identical for any lane count:
+// a digest of each result is compared, and a mismatch exits nonzero.
 //
-//   1. Determinism: the simulated run (end-to-end time + every counter that
-//      reaches a report) is bit-identical for any lane count. A digest of
-//      the result is compared across the two runs.
-//   2. Wall-clock: the lane pipeline's sharded sort/bin + precomputed
-//      prefetch plans beat the serial pass on the servicing-heavy
-//      oversubscribed configuration. The measured speedup lands in
-//      BENCH_pr8.json.
+// Host cost of the laned path (servicing critical path, offload ratio) is
+// measured by uvmbench (`uvm.servicing_s`, `lanes.offload_ratio`), not here;
+// this bench prints simulated output only.
 //
 // Scale knobs: UVMSIM_GPU_MIB overrides the 12 GB GPU (CI smoke uses a small
 // value), UVMSIM_FAST=1 shrinks to a seconds-long smoke run, UVMSIM_THREADS
-// picks the lane count (default 4 here — this bench exists to measure the
+// picks the lane count (default 4 here — this bench exists to check the
 // laned path).
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "bench_common.h"
-#include "core/atomic_file.h"
 #include "core/env.h"
 #include "core/metrics.h"
 #include "core/report.h"
@@ -64,36 +59,10 @@ std::uint64_t result_digest(const RunResult& r) {
   return h;
 }
 
-struct Timed {
-  RunResult result;
-  double wall_s;       ///< best-of-N whole-process wall time
-  double servicing_s;  ///< best-of-N ordering-thread CPU in servicing passes
-  double work_s;       ///< best-of-N all-thread CPU in servicing passes
-};
-
-/// One timed run; the caller folds repetitions into a best-of-N per path.
-Timed run_once(SimConfig cfg, std::uint64_t size_bytes, std::uint32_t lanes) {
-  cfg.driver.service_lanes = lanes;
-  const auto t0 = std::chrono::steady_clock::now();
-  RunResult r = run_workload(cfg, "random", size_bytes);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double serv = static_cast<double>(r.servicing_host_ns) * 1e-9;
-  const double work = static_cast<double>(r.servicing_cpu_ns) * 1e-9;
-  return {std::move(r), std::chrono::duration<double>(t1 - t0).count(), serv,
-          work};
-}
-
-/// Folds a repetition into the running best-of-N (runs are deterministic,
-/// so every rep produces the same RunResult — only host scheduling noise
-/// varies, which best-of-N suppresses on a busy CI box).
-void fold_best(Timed& best, Timed rep, bool first) {
-  if (first) {
-    best = std::move(rep);
-    return;
-  }
-  best.wall_s = std::min(best.wall_s, rep.wall_s);
-  best.servicing_s = std::min(best.servicing_s, rep.servicing_s);
-  best.work_s = std::min(best.work_s, rep.work_s);
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << std::hex << v;
+  return os.str();
 }
 
 }  // namespace
@@ -108,7 +77,7 @@ int main() {
   const std::uint64_t size_bytes = gpu_bytes + gpu_bytes / 3;
 
   std::uint64_t threads = env_u64("UVMSIM_THREADS", 4);
-  if (threads < 2) threads = 4;  // this bench measures the laned path
+  if (threads < 2) threads = 4;  // this bench checks the laned path
   const std::size_t lanes = clamp_thread_count(threads, "UVMSIM_THREADS");
 
   SimConfig cfg;
@@ -123,89 +92,29 @@ int main() {
             << " GPU (" << (size_bytes >> 12) << " pages), lanes=" << lanes
             << "\n\n";
 
-  const int reps =
-      static_cast<int>(env_u64("UVMSIM_BENCH_REPS", fast_mode() ? 1 : 3));
+  const auto run_with = [&](std::uint32_t n) {
+    SimConfig c = cfg;
+    c.driver.service_lanes = n;
+    return run_workload(c, "random", size_bytes);
+  };
+  const RunResult serial = run_with(1);
+  const RunResult laned = run_with(static_cast<std::uint32_t>(lanes));
 
-  // Interleave the paths rep by rep so slow drift in host load (CI
-  // neighbours) biases both paths equally instead of whichever ran last.
-  Timed serial, laned;
-  for (int i = 0; i < reps; ++i) {
-    fold_best(serial, run_once(cfg, size_bytes, 1), i == 0);
-    fold_best(laned,
-              run_once(cfg, size_bytes, static_cast<std::uint32_t>(lanes)),
-              i == 0);
-  }
-
-  const std::uint64_t d1 = result_digest(serial.result);
-  const std::uint64_t dn = result_digest(laned.result);
+  const std::uint64_t d1 = result_digest(serial);
+  const std::uint64_t dn = result_digest(laned);
   const bool identical = d1 == dn;
-  // The headline number is the servicing-path speedup: the driver's
-  // fault-servicing passes are the serial path the lane pipeline
-  // restructures, and servicing_host_ns times the ordering thread's
-  // critical path through exactly that code on the thread CPU clock
-  // (immune to neighbour-process preemption; helper-lane work overlaps it
-  // on parallel hardware). Two companion ratios keep it honest: the
-  // work-reduction ratio (process CPU — total cost across every lane, so
-  // parallel overlap doesn't count, only algorithmic savings) and the
-  // whole-run wall ratio, which includes GPU warp stepping and the event
-  // loop that the lanes deliberately leave untouched.
-  const double speedup_servicing =
-      laned.servicing_s > 0.0 ? serial.servicing_s / laned.servicing_s : 0.0;
-  const double speedup_work =
-      laned.work_s > 0.0 ? serial.work_s / laned.work_s : 0.0;
-  const double speedup_total =
-      laned.wall_s > 0.0 ? serial.wall_s / laned.wall_s : 0.0;
 
-  Table t({"path", "wall_s", "servicing_s", "sim_end_to_end", "digest"});
-  std::ostringstream h1, hn;
-  h1 << std::hex << d1;
-  hn << std::hex << dn;
-  t.add_row({"serial", fmt(serial.wall_s, 3), fmt(serial.servicing_s, 3),
-             format_duration(serial.result.end_time), h1.str()});
+  Table t({"path", "sim_end_to_end", "digest"});
+  t.add_row({"serial", format_duration(serial.end_time), hex(d1)});
   t.add_row({"lanes=" + fmt(static_cast<std::uint64_t>(lanes)),
-             fmt(laned.wall_s, 3), fmt(laned.servicing_s, 3),
-             format_duration(laned.result.end_time), hn.str()});
-  std::cout << t.to_text() << "\nspeedup (servicing critical path, best of "
-            << reps << "): " << fmt(speedup_servicing, 3) << "x\n"
-            << "servicing work reduction (all-lane CPU): "
-            << fmt(speedup_work, 3) << "x\n"
-            << "speedup (whole run): " << fmt(speedup_total, 3) << "x\n";
-  std::cout << "determinism: "
+             format_duration(laned.end_time), hex(dn)});
+  std::cout << t.to_text() << "\ndeterminism: "
             << (identical ? "PASS (digests equal)" : "FAIL (digests differ)")
             << "\n";
   std::cout << "lane stats: sharded_batches="
-            << laned.result.counters.lane_sharded_batches
-            << " plans_applied=" << laned.result.counters.lane_plans_applied
-            << " plans_recomputed="
-            << laned.result.counters.lane_plans_recomputed << "\n";
-
-  // Machine-readable evidence for BENCH_pr8.json.
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"bench\": \"fig_full_scale\",\n"
-       << "  \"gpu_mib\": " << gpu_mib << ",\n"
-       << "  \"size_mib\": " << (size_bytes >> 20) << ",\n"
-       << "  \"pages\": " << (size_bytes >> 12) << ",\n"
-       << "  \"lanes\": " << lanes << ",\n"
-       << "  \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"wall_serial_s\": " << fmt(serial.wall_s, 4) << ",\n"
-       << "  \"wall_lanes_s\": " << fmt(laned.wall_s, 4) << ",\n"
-       << "  \"servicing_serial_s\": " << fmt(serial.servicing_s, 4) << ",\n"
-       << "  \"servicing_lanes_s\": " << fmt(laned.servicing_s, 4) << ",\n"
-       << "  \"servicing_cpu_serial_s\": " << fmt(serial.work_s, 4) << ",\n"
-       << "  \"servicing_cpu_lanes_s\": " << fmt(laned.work_s, 4) << ",\n"
-       << "  \"speedup\": " << fmt(speedup_servicing, 4) << ",\n"
-       << "  \"speedup_work\": " << fmt(speedup_work, 4) << ",\n"
-       << "  \"speedup_total\": " << fmt(speedup_total, 4) << ",\n"
-       << "  \"identical_output\": " << (identical ? "true" : "false") << "\n"
-       << "}\n";
-  const char* out = std::getenv("UVMSIM_BENCH_JSON");
-  if (out != nullptr && *out != '\0') {
-    atomic_write_file(out, json.str());
-    std::cout << "json -> " << out << "\n";
-  } else {
-    std::cout << json.str();
-  }
+            << laned.counters.lane_sharded_batches
+            << " plans_applied=" << laned.counters.lane_plans_applied
+            << " plans_recomputed=" << laned.counters.lane_plans_recomputed
+            << "\n";
   return identical ? 0 : 1;
 }

@@ -27,7 +27,6 @@
 #include <sstream>
 
 #include "bench_common.h"
-#include "core/atomic_file.h"
 #include "core/metrics.h"
 #include "core/report.h"
 #include "sweep_runner.h"
@@ -220,38 +219,5 @@ int main() {
   std::cout << "\nlane determinism (markov+clock, lanes 1 vs 4): "
             << (identical ? "PASS" : "FAIL") << " (" << h1.str() << " vs "
             << h4.str() << ")\n";
-
-  const auto ratio_of = [](SimDuration num, SimDuration den) {
-    return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
-  };
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"bench\": \"fig_policy_crossover\",\n"
-       << "  \"gpu_mib\": " << (cfg.gpu_memory() >> 20) << ",\n"
-       << "  \"oversub\": " << fmt(ratios.back(), 2) << ",\n"
-       << "  \"strided_kernel_ns_off\": " << deep[1][off] << ",\n"
-       << "  \"strided_kernel_ns_tree\": " << deep[1][tree] << ",\n"
-       << "  \"strided_kernel_ns_markov\": " << deep[1][markov] << ",\n"
-       << "  \"regular_kernel_ns_off\": " << deep[0][off] << ",\n"
-       << "  \"regular_kernel_ns_tree\": " << deep[0][tree] << ",\n"
-       << "  \"regular_kernel_ns_markov\": " << deep[0][markov] << ",\n"
-       << "  \"random_kernel_ns_off\": " << deep[2][off] << ",\n"
-       << "  \"random_kernel_ns_tree\": " << deep[2][tree] << ",\n"
-       << "  \"random_kernel_ns_markov\": " << deep[2][markov] << ",\n"
-       << "  \"markov_speedup_vs_off\": "
-       << fmt(ratio_of(deep[1][off], deep[1][markov]), 4) << ",\n"
-       << "  \"markov_speedup_vs_tree\": "
-       << fmt(ratio_of(deep[1][tree], deep[1][markov]), 4) << ",\n"
-       << "  \"markov_blocks_strided\": " << deep_markov_blocks[1] << ",\n"
-       << "  \"markov_blocks_random\": " << deep_markov_blocks[2] << ",\n"
-       << "  \"identical_output\": " << (identical ? "true" : "false") << "\n"
-       << "}\n";
-  const char* out = std::getenv("UVMSIM_BENCH_JSON");
-  if (out != nullptr && *out != '\0') {
-    atomic_write_file(out, json.str());
-    std::cout << "json -> " << out << "\n";
-  } else {
-    std::cout << json.str();
-  }
   return identical ? 0 : 1;
 }

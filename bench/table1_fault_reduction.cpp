@@ -1,9 +1,11 @@
 // Table I reproduction: total faults with prefetching disabled vs enabled,
-// and the fault reduction (coverage) percentage, for all eight workloads at
-// a relatively large undersubscribed size.
+// and the fault reduction (coverage) percentage, for every workload at a
+// relatively large undersubscribed size. Workloads the paper's Table I does
+// not list (strided) are reported with '-' in the paper column and are not
+// part of the reduction claim.
 //
 // Paper claims (§IV-C):
-//  * every application sees at least 64 % fault reduction;
+//  * every Table I application sees at least 64 % fault reduction;
 //  * random reaches the highest coverage (97.9 %) — scattered faults tip
 //    tree subtrees early — beating regular (82.3 %);
 //  * hpgmg and tealeaf sit at the bottom (64-67 %).
@@ -54,17 +56,19 @@ int main() {
     const std::string& name = workload_names()[i];
     const Row& row = rows[i];
     double red = fault_reduction_percent(row.faults_nopf, row.faults_pf);
-    min_reduction = std::min(min_reduction, red);
+    const auto it = paper.find(name);
+    if (it != paper.end()) min_reduction = std::min(min_reduction, red);
     if (name == "regular") red_regular = red;
     if (name == "random") red_random = red;
 
     t.add_row({name, fmt(row.faults_nopf), fmt(row.faults_pf), fmt(red, 4),
-               fmt(paper.at(name), 4)});
+               it != paper.end() ? fmt(it->second, 4) : "-"});
   }
   t.print("Table I — application fault reduction from prefetching");
 
-  shape_check("every workload sees substantial fault reduction (>= 50 %)",
-              min_reduction >= 50.0);
+  shape_check(
+      "every Table I application sees substantial fault reduction (>= 50 %)",
+      min_reduction >= 50.0);
   shape_check("random coverage beats regular (scattered faults tip subtrees)",
               red_random > red_regular);
   return 0;

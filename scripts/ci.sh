@@ -93,17 +93,16 @@ UVMSIM_THREADS=4 ./build/tools/uvmsim_cli "${FS_FLAGS[@]}" > "$FS_TMP/t4.txt"
 diff -u "$FS_TMP/t1.txt" "$FS_TMP/t4.txt" > /dev/null \
   || { echo "full-scale determinism FAILED (lanes changed output)"; exit 1; }
 echo "uvmsim_cli --full-scale: byte-identical at 1 and 4 lanes"
-# fig_full_scale re-checks the same contract via result digests and records
-# the smoke-quality speedup JSON (full-scale numbers come from a non-FAST
-# run of the same binary; see EXPERIMENTS.md).
-UVMSIM_FAST=1 UVMSIM_THREADS=4 UVMSIM_BENCH_JSON="$FS_TMP/bench.json" \
-  ./build/bench/fig_full_scale > "$FS_TMP/fig.txt" \
+# fig_full_scale re-checks the same contract via result digests (it exits
+# nonzero if the serial and laned digests differ) and pins the digest itself:
+# 341 MiB random working set on a 256 MiB GPU, both paths.
+FS_DIGEST=df6bf0580f1d1f20
+UVMSIM_FAST=1 UVMSIM_THREADS=4 ./build/bench/fig_full_scale > "$FS_TMP/fig.txt" \
   || { echo "fig_full_scale determinism FAILED"; cat "$FS_TMP/fig.txt"; exit 1; }
-test -s "$FS_TMP/bench.json"
-if command -v python3 >/dev/null 2>&1; then
-  python3 -m json.tool "$FS_TMP/bench.json" > /dev/null
-  echo "fig_full_scale bench JSON parses"
-fi
+[ "$(grep -cE "^ *(serial|lanes=[0-9]+) .* $FS_DIGEST\$" "$FS_TMP/fig.txt")" -eq 2 ] \
+  || { echo "fig_full_scale digest pin FAILED (want $FS_DIGEST on both paths)"
+       cat "$FS_TMP/fig.txt"; exit 1; }
+echo "fig_full_scale: digest $FS_DIGEST on the serial and laned paths"
 rm -rf "$FS_TMP"
 
 # Warm-index lint budget: with the cache populated by the gate above, a
@@ -120,23 +119,31 @@ if [ "$LINT_SECS" -gt 15 ]; then
 fi
 echo "lint warm-cache re-run: ${LINT_SECS}s (budget 15s)"
 
-echo "== paper-shape gate (fig01 claim 4 / fig09 prefetch verdict) =="
+echo "== paper-shape gate (fig01 claim 4 / fig09 prefetch verdict / Table I) =="
 # shape_check prints [SHAPE PASS]/[SHAPE FAIL] without affecting the exit
-# code, so the gate greps stdout. These two assertions are the PR-5 fixes:
-# prefetching must aggravate deep-oversubscribed random performance.
+# code, so the gate greps stdout. fig01/fig09: prefetching must aggravate
+# deep-oversubscribed random performance. Table I: its two §IV-C claims
+# about the paper's eight applications.
 SHAPE_TMP=$(mktemp -d /tmp/uvmsim-shape.XXXXXX)
 UVMSIM_FAST=1 ./build/bench/fig01_uvm_vs_explicit > "$SHAPE_TMP/fig01.txt"
 UVMSIM_FAST=1 ./build/bench/fig09_oversub_breakdown > "$SHAPE_TMP/fig09.txt"
+UVMSIM_FAST=1 ./build/bench/table1_fault_reduction > "$SHAPE_TMP/table1.txt"
 grep -q '^\[SHAPE PASS\] (random) prefetching aggravates deep oversubscription' \
   "$SHAPE_TMP/fig01.txt" \
   || { echo "shape gate FAILED: fig01 claim 4"; cat "$SHAPE_TMP/fig01.txt"; exit 1; }
 grep -q '^\[SHAPE PASS\] disabling prefetching improves oversubscribed performance' \
   "$SHAPE_TMP/fig09.txt" \
   || { echo "shape gate FAILED: fig09 prefetch verdict"; cat "$SHAPE_TMP/fig09.txt"; exit 1; }
-if grep -h '^\[SHAPE FAIL\]' "$SHAPE_TMP"/fig01.txt "$SHAPE_TMP"/fig09.txt; then
+grep -q '^\[SHAPE PASS\] every Table I application sees substantial fault reduction' \
+  "$SHAPE_TMP/table1.txt" \
+  || { echo "shape gate FAILED: Table I reduction"; cat "$SHAPE_TMP/table1.txt"; exit 1; }
+grep -q '^\[SHAPE PASS\] random coverage beats regular' "$SHAPE_TMP/table1.txt" \
+  || { echo "shape gate FAILED: Table I random vs regular"; cat "$SHAPE_TMP/table1.txt"; exit 1; }
+if grep -h '^\[SHAPE FAIL\]' "$SHAPE_TMP"/fig01.txt "$SHAPE_TMP"/fig09.txt \
+    "$SHAPE_TMP"/table1.txt; then
   echo "shape gate FAILED: unexpected [SHAPE FAIL] above"; exit 1
 fi
-echo "shape gate: fig01 + fig09 all green"
+echo "shape gate: fig01 + fig09 + table1 all green"
 rm -rf "$SHAPE_TMP"
 
 echo "== backend-crossover shape gate (driver vs GPU-driven servicing) =="
@@ -211,14 +218,14 @@ for pair in "--prefetch on --prefetch-policy markov|--prefetch markov" \
 done
 rm -rf "$PP_TMP"
 
-echo "== perf smoke (fast mode) =="
-BENCH_OUT=${BENCH_OUT:-BENCH_pr5.json}
-UVMSIM_FAST=1 BENCH_OUT="$BENCH_OUT" scripts/perf_smoke.sh build
-test -s "$BENCH_OUT"
-if command -v python3 >/dev/null 2>&1; then
-  python3 -m json.tool "$BENCH_OUT" > /dev/null
-  echo "$BENCH_OUT parses"
-fi
+echo "== perf gate (uvmbench end-to-end metrics vs scripts/perf_baseline.json) =="
+# Builds uvmbench into .bench_build/ and runs every BENCHMARK.json workload
+# for 5 s at a pinned seed. Fails on a nonzero exit, an incorrect run or a
+# failed run (digest drift included), or a metric worse than the committed
+# baseline by more than its BENCHMARK.json bound. Then uvmbench's own tests.
+python3 scripts/perf_gate.py
+cmake --build .bench_build -j"$JOBS"
+ctest --test-dir .bench_build --output-on-failure
 
 echo "== campaign kill-and-resume smoke (SIGKILL x resume determinism) =="
 scripts/campaign_smoke.sh build

@@ -111,17 +111,13 @@ TEST(LintProject, CleanFixturesAreClean) {
   }
 }
 
-TEST(LintProject, PerFileLaneAndUnorderedRulesAreSuperseded) {
-  // In project mode the token-level unordered-iteration / lane-shared-write
-  // rules step aside for their semantic replacements: a bad fixture for the
-  // old rules must NOT additionally produce the old finding.
-  for (const auto& found :
-       {lint_project({"lane_capture_bad.cpp"}),
-        lint_project({"unordered_sink_bad.cpp"})}) {
-    for (const Finding& f : found) {
-      EXPECT_NE(f.rule, "lane-shared-write") << describe(found);
-      EXPECT_NE(f.rule, "unordered-iteration") << describe(found);
-    }
+TEST(LintProject, PerFileLaneRuleIsSuperseded) {
+  // In project mode the token-level lane-shared-write rule steps aside for
+  // lane-capture-escape: a bad fixture for both must NOT additionally
+  // produce the old finding.
+  const std::vector<Finding> found = lint_project({"lane_capture_bad.cpp"});
+  for (const Finding& f : found) {
+    EXPECT_NE(f.rule, "lane-shared-write") << describe(found);
   }
 }
 

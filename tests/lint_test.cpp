@@ -69,8 +69,6 @@ struct RuleFixture {
 const RuleFixture kRuleFixtures[] = {
     {"banned-random", "banned_random_bad.cpp", "banned_random_clean.cpp"},
     {"banned-clock", "banned_clock_bad.cpp", "banned_clock_clean.cpp"},
-    {"unordered-iteration", "unordered_iteration_bad.cpp",
-     "unordered_iteration_clean.cpp"},
     {"pointer-keyed-container", "pointer_keyed_bad.cpp",
      "pointer_keyed_clean.cpp"},
     {"thread-id", "thread_id_bad.cpp", "thread_id_clean.cpp"},

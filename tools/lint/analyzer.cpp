@@ -807,8 +807,7 @@ std::string write_target_base(const std::vector<Token>& t, std::size_t op,
   return "";
 }
 
-void check_file(const FileData& fd, const std::set<std::string>& unordered_all,
-                std::vector<Finding>& out) {
+void check_file(const FileData& fd, std::vector<Finding>& out) {
   const auto& t = fd.lx.tokens;
   const std::string& norm = fd.display;
   const bool rng_impl =
@@ -1057,34 +1056,6 @@ void check_file(const FileData& fd, const std::set<std::string>& unordered_all,
       if (fd.is_header && !fd.system_includes.count("cassert") &&
           !fd.system_includes.count("assert.h") && !missing.count("cassert")) {
         missing["cassert"] = {tok.line, "assert"};
-      }
-    }
-
-    // ---- D: unordered-iteration -------------------------------------------
-    if (tok.text == "for" && next_is_call) {
-      const std::size_t close = match_paren(t, i + 1);
-      if (close == kNpos) continue;
-      int depth = 0;
-      std::size_t colon = kNpos;
-      for (std::size_t j = i + 1; j < close; ++j) {
-        if (t[j].kind != TokKind::Punct) continue;
-        if (t[j].text == "(") ++depth;
-        if (t[j].text == ")") --depth;
-        if (depth == 1 && t[j].text == ";") break;  // classic for loop
-        if (depth == 1 && t[j].text == ":") {
-          colon = j;
-          break;
-        }
-      }
-      if (colon == kNpos) continue;
-      for (std::size_t j = colon + 1; j < close; ++j) {
-        if (t[j].kind == TokKind::Identifier && unordered_all.count(t[j].text)) {
-          add(t[j].line, "unordered-iteration",
-              "range-for over unordered container '" + t[j].text +
-                  "'; iteration order depends on hashing and address layout "
-                  "— copy to a sorted container or iterate stable keys");
-          break;
-        }
       }
     }
   }
@@ -1371,17 +1342,14 @@ std::vector<Finding> Linter::run() {
     resolve_scoped(sup[i], indices[i]);
   }
 
-  // Per-file rule pass. Project mode supersedes two token-level rules with
-  // their semantic replacements (the rules stay registered so existing
-  // suppressions of them do not become unknown-rule findings).
+  // Per-file rule pass. Project mode supersedes the token-level
+  // lane-shared-write with lane-capture-escape (the rule stays registered so
+  // existing suppressions of it do not become unknown-rule findings).
   for (std::size_t i = 0; i < files.size(); ++i) {
     std::vector<Finding> raw;
-    check_file(files[i], merged[i], raw);
+    check_file(files[i], raw);
     for (Finding& f : raw) {
-      if (impl_->opts.project &&
-          (f.rule == "unordered-iteration" || f.rule == "lane-shared-write")) {
-        continue;
-      }
+      if (impl_->opts.project && f.rule == "lane-shared-write") continue;
       if (is_suppressed(sup[i], f.rule, f.line)) continue;
       findings.push_back(std::move(f));
     }

@@ -17,8 +17,8 @@
 //
 //   unordered-sink-iteration
 //     Range-for over an unordered container is flagged only when the loop
-//     body performs I/O or calls something that transitively can — the
-//     output-affecting subset of the per-file unordered-iteration rule.
+//     body performs I/O or calls something that transitively can, so hash
+//     order would reach output.
 #pragma once
 
 #include <set>

@@ -12,14 +12,10 @@ const std::vector<RuleInfo>& all_rules() {
        "time()/system_clock (everywhere) and steady_clock/"
        "high_resolution_clock outside sim/trace.* and bench/; simulated "
        "time comes from sim/time.h"},
-      {"unordered-iteration", "determinism",
-       "range-for over an unordered container; iteration order depends on "
-       "hashing/address layout — iterate a sorted view instead (per-file "
-       "mode only; --project supersedes it with unordered-sink-iteration)"},
       {"unordered-sink-iteration", "determinism",
        "range-for over an unordered container whose body prints or calls "
        "code that transitively can; hash order would leak into output "
-       "(--project replacement for unordered-iteration)"},
+       "(--project only)"},
       {"ordered-reads-lane-owned", "determinism",
        "code reachable from a UVMSIM_ORDERED function reads "
        "UVMSIM_LANE_OWNED state before the merge point; the serial walk "
