@@ -81,6 +81,24 @@ for b in "${SWEEP_BENCHES[@]}"; do
 done
 rm -rf "$SWEEP_TMP"
 
+echo "== bench output drift (default-size stdout vs results/) =="
+# Every bench target in bench/CMakeLists.txt must print exactly its committed
+# results/<bench>.txt at default size; a missing file or any diff fails.
+# fig_full_scale is exempt (about a minute at default size); the stage below
+# pins its FAST-mode digest instead.
+DRIFT_TMP=$(mktemp -d /tmp/uvmsim-drift.XXXXXX)
+for b in $(sed -n 's/^uvmsim_bench(\(.*\))$/\1/p' bench/CMakeLists.txt); do
+  [ "$b" = fig_full_scale ] && continue
+  [ -f "results/$b.txt" ] \
+    || { echo "bench drift FAILED: results/$b.txt missing"; exit 1; }
+  env -u UVMSIM_FAST -u UVMSIM_GPU_MIB UVMSIM_THREADS=4 "./build/bench/$b" \
+    > "$DRIFT_TMP/$b.txt"
+  diff -u "results/$b.txt" "$DRIFT_TMP/$b.txt" \
+    || { echo "bench drift FAILED: $b differs from results/$b.txt"; exit 1; }
+done
+echo "every bench matches results/"
+rm -rf "$DRIFT_TMP"
+
 echo "== full-scale smoke determinism (--full-scale, THREADS=1 vs 4) =="
 # The --full-scale preset (Titan V: 80 SMs, 12 GB PMA) at a CI-sized
 # footprint: the explicit size flags override the preset's capacities while
