@@ -62,6 +62,24 @@ struct VaBlock {
   }
 };
 
+/// Holds a block's service lock for one scope: sets VaBlock::service_locked
+/// and restores the previous value on exit, so populating a block that an
+/// enclosing service already locked leaves that outer lock in place. The
+/// only writer of service_locked.
+class ServiceLock {
+ public:
+  explicit ServiceLock(VaBlock& blk) : blk_(blk), was_(blk.service_locked) {
+    blk_.service_locked = true;
+  }
+  ~ServiceLock() { blk_.service_locked = was_; }
+  ServiceLock(const ServiceLock&) = delete;
+  ServiceLock& operator=(const ServiceLock&) = delete;
+
+ private:
+  VaBlock& blk_;
+  bool was_;
+};
+
 /// Memory-usage hints (the cudaMemAdvise flags relevant to the paper's
 /// §III-A access behaviours).
 struct MemAdvise {

@@ -137,7 +137,6 @@ Acc lane_reduce(ThreadPool* pool, std::size_t n, std::size_t lanes,
     for (std::size_t i = b; i < e; ++i) body(acc, i);
   });
   Acc out = std::move(per_lane[0]);
-  // uvmsim-lint: allow(lane-shared-write, "join is complete here; serial lane-order merge on the calling thread")
   for (std::size_t l = 1; l < lanes; ++l) merge(out, per_lane[l]);
   return out;
 }

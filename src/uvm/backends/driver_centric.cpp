@@ -63,7 +63,6 @@ SimTime DriverCentricBackend::service_pass() {
                       [&](std::size_t lane, std::size_t b, std::size_t e) {
                         (void)lane;
                         for (std::size_t i = b; i < e; ++i) {
-                          // uvmsim-lint: allow(lane-shared-write, "disjoint per-bin plan slot, preallocated before the fork")
                           precompute_plan(batch.bins[i], plans[i]);
                         }
                       });

@@ -111,7 +111,7 @@ UVMSIM_HOT UVMSIM_ORDERED SimTime GpuDrivenBackend::resolve_fault(
   ++ctr.gpu_resolved_faults;
   t += gd.resolve_base;
   profiler().add(CostCategory::ServiceOther, gd.resolve_base);
-  blk.service_locked = true;
+  const ServiceLock lock(blk);
 
   // Service granularity: the host base page (one fault covers the whole
   // aligned base-page group, as on the driver path) — but never the 2 MB
@@ -140,7 +140,6 @@ UVMSIM_HOT UVMSIM_ORDERED SimTime GpuDrivenBackend::resolve_fault(
       log().record(FaultLogEntry{0, t, FaultLogKind::Fault, e.page, blk.id,
                                  blk.range, false});
     }
-    blk.service_locked = false;
     slot_free_[slot] = t;
     return t;
   }
@@ -183,22 +182,13 @@ UVMSIM_HOT UVMSIM_ORDERED SimTime GpuDrivenBackend::resolve_fault(
         log().record(FaultLogEntry{0, t, FaultLogKind::Fault, e.page, blk.id,
                                    blk.range, false});
       }
-      blk.service_locked = false;
       slot_free_[slot] = t;
       return t;
     }
   }
 
   // --- zero-fill pages born on the GPU ---
-  PageMask zero = to_populate.and_not(blk.ever_populated);
-  if (zero.any()) {
-    SimTime t0 = t;
-    t = d.dma->zero_fill(
-        t, static_cast<std::uint64_t>(zero.count()) * kPageSize);
-    blk.ever_populated |= zero;
-    ctr.pages_zeroed += zero.count();
-    profiler().add(CostCategory::ServiceZero, t - t0);
-  }
+  t = zero_fill(blk, to_populate, t);
 
   // --- pull host-resident data as page-sized RDMA reads ---
   // reserve_pipelined: no bulk-transfer setup latency, but each 4 KB read
@@ -232,7 +222,6 @@ UVMSIM_HOT UVMSIM_ORDERED SimTime GpuDrivenBackend::resolve_fault(
              blk.id, "pages", to_populate.count(), "stalled",
              start > arrival ? 1 : 0);
 
-  blk.service_locked = false;
   slot_free_[slot] = t;
   return t;
 }

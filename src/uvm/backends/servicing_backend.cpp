@@ -37,6 +37,11 @@ ReplayPolicyKind ServicingBackend::effective_replay_policy(SimTime t) const {
   return drv_.effective_replay_policy(t);
 }
 
+SimTime ServicingBackend::zero_fill(VaBlock& blk, const PageMask& pages,
+                                    SimTime t) {
+  return drv_.zero_fill(blk, pages, t);
+}
+
 bool ServicingBackend::evict_victim(SimTime& t, VaBlockId faulting_block,
                                     std::uint64_t want_bytes) {
   return drv_.evict_victim(t, faulting_block, want_bytes);

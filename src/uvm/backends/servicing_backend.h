@@ -64,6 +64,8 @@ class ServicingBackend {
   SimTime flush_buffer(SimTime t);
   SimTime drain_access_counters(SimTime t);
   [[nodiscard]] ReplayPolicyKind effective_replay_policy(SimTime t) const;
+  /// Zero-fills the never-populated pages of `pages` (Driver::zero_fill).
+  SimTime zero_fill(VaBlock& blk, const PageMask& pages, SimTime t);
   /// Chunk-granular eviction of one victim (advances `t`); false when no
   /// eligible victim exists and the caller must degrade.
   bool evict_victim(SimTime& t, VaBlockId faulting_block,

@@ -71,7 +71,6 @@ void Preprocessor::shard_bins(std::vector<FaultEntry>& entries,
         // Lanes own disjoint subranges of `entries`, so the sort runs in
         // place — no per-lane slice copy.
         sort_and_group(entries.begin() + begin, entries.begin() + end, local);
-        // uvmsim-lint: allow(lane-shared-write, "disjoint per-lane slot, written once before the join")
         lane_bins[lane] = std::move(local);
       });
 

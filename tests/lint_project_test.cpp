@@ -111,16 +111,6 @@ TEST(LintProject, CleanFixturesAreClean) {
   }
 }
 
-TEST(LintProject, PerFileLaneRuleIsSuperseded) {
-  // In project mode the token-level lane-shared-write rule steps aside for
-  // lane-capture-escape: a bad fixture for both must NOT additionally
-  // produce the old finding.
-  const std::vector<Finding> found = lint_project({"lane_capture_bad.cpp"});
-  for (const Finding& f : found) {
-    EXPECT_NE(f.rule, "lane-shared-write") << describe(found);
-  }
-}
-
 TEST(LintProject, StableFindingIdsIgnoreLines) {
   const std::vector<Finding> found = lint_project({"hot_transitive_bad.cpp"});
   ASSERT_EQ(found.size(), 1u);

@@ -13,8 +13,7 @@
 //
 // With LintOptions::project set, the per-file pass is followed by the
 // whole-program pass (index -> call graph -> dataflow rules, see index.h /
-// callgraph.h / dataflow.h); the per-file lane-shared-write rule is
-// superseded by its semantic replacement (lane-capture-escape) and skipped.
+// callgraph.h / dataflow.h).
 #pragma once
 
 #include <cstddef>

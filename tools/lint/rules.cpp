@@ -57,17 +57,10 @@ const std::vector<RuleInfo>& all_rules() {
       {"task-shared-state", "concurrency",
        "Tracer/Profiler touched from a pool task; per-run instances owned by "
        "the task are fine — document that with a typed suppression"},
-      {"lane-shared-write", "concurrency",
-       "write to non-lane-local state (member or by-reference capture) "
-       "inside a for_lanes/lane_reduce lane body; lanes fill per-lane "
-       "accumulators and the caller merges in lane order — suppress only on "
-       "the serial merge step (per-file mode only; --project supersedes it "
-       "with lane-capture-escape)"},
       {"lane-capture-escape", "concurrency",
        "by-reference capture (or captured member state) mutated inside a "
        "for_lanes/parallel_for lane body without being lane-indexed, "
-       "std::atomic, or UVMSIM_LANE_OWNED (--project replacement for "
-       "lane-shared-write)"},
+       "std::atomic, or UVMSIM_LANE_OWNED (--project only)"},
       // -- H: hygiene --------------------------------------------------------
       {"using-namespace-header", "hygiene",
        "using namespace at header scope leaks into every includer"},
