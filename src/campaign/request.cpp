@@ -236,7 +236,8 @@ std::string request_id(const RunRequest& req) {
   return hex16(request_hash(req));
 }
 
-SimConfig request_sim_config(const RunRequest& req) {
+SimConfig request_sim_config(const RunRequest& req,
+                             const std::string& param_prefix) {
   SimConfig cfg;
   cfg.set_gpu_memory(req.gpu_mib << 20);
   cfg.seed = req.seed;
@@ -249,12 +250,12 @@ SimConfig request_sim_config(const RunRequest& req) {
   } else if (req.backend == "gpu") {
     cfg.driver.backend = ServicingBackendKind::GpuDriven;
   } else {
-    throw ConfigError("request.backend",
+    throw ConfigError(param_prefix + "backend",
                       "wants driver|gpu, got '" + req.backend + "'");
   }
 
   cfg.driver.prefetch_policy =
-      parse_prefetch_policy(req.prefetch, req.prefetch_policy, "request.");
+      parse_prefetch_policy(req.prefetch, req.prefetch_policy, param_prefix);
 
   if (req.policy == "block") {
     cfg.driver.replay_policy = ReplayPolicyKind::Block;
@@ -265,7 +266,7 @@ SimConfig request_sim_config(const RunRequest& req) {
   } else if (req.policy == "once") {
     cfg.driver.replay_policy = ReplayPolicyKind::Once;
   } else {
-    throw ConfigError("request.policy",
+    throw ConfigError(param_prefix + "policy",
                       "wants block|batch|batch_flush|once, got '" +
                           req.policy + "'");
   }
@@ -280,7 +281,7 @@ SimConfig request_sim_config(const RunRequest& req) {
   } else if (req.eviction == "2q") {
     cfg.driver.eviction_policy = EvictionPolicyKind::TwoQ;
   } else {
-    throw ConfigError("request.eviction",
+    throw ConfigError(param_prefix + "eviction",
                       "wants lru|access_counter|clock|2q, got '" +
                           req.eviction + "'");
   }
@@ -290,7 +291,7 @@ SimConfig request_sim_config(const RunRequest& req) {
   } else if (req.chunking == "off") {
     cfg.driver.chunking.enabled = false;
   } else {
-    throw ConfigError("request.chunking",
+    throw ConfigError(param_prefix + "chunking",
                       "wants on|off, got '" + req.chunking + "'");
   }
 
@@ -303,7 +304,7 @@ SimConfig request_sim_config(const RunRequest& req) {
     } else if (req.thrash == "throttle") {
       cfg.driver.thrashing.mitigation = ThrashMitigation::Throttle;
     } else {
-      throw ConfigError("request.thrash",
+      throw ConfigError(param_prefix + "thrash",
                         "wants off|detect|pin|throttle, got '" + req.thrash +
                             "'");
     }

@@ -87,9 +87,13 @@ void load_trace_content(RunRequest& req);
 /// The request's content address: 16 lowercase hex digits of request_hash.
 [[nodiscard]] std::string request_id(const RunRequest& req);
 
-/// Builds the SimConfig this request describes. Throws ConfigError on
-/// invalid knob values (same validation as the uvmsim_cli front end).
-[[nodiscard]] SimConfig request_sim_config(const RunRequest& req);
+/// Builds the SimConfig this request describes: the one translation of the
+/// shared knobs, used by the in-process worker and by uvmsim_cli (so a
+/// process-isolated run executes the same config). Throws ConfigError on
+/// invalid knob values, naming the knob as `param_prefix` + its key
+/// ("request.policy" here, "--policy" from the CLI).
+[[nodiscard]] SimConfig request_sim_config(
+    const RunRequest& req, const std::string& param_prefix = "request.");
 
 /// Builds the workload (registry lookup or trace replay). Throws
 /// ConfigError for unknown workloads / unloaded trace content.

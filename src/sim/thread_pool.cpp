@@ -68,29 +68,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t grain) {
-  if (n == 0) return;
-  if (grain == 0) {
-    // ~4 chunks per worker balances load without drowning fine-grained
-    // bodies in per-task dispatch (one mutex acquisition + one future per
-    // chunk instead of per index). BM_ParallelFor records the crossover.
-    grain = std::max<std::size_t>(1, n / (4 * std::max<std::size_t>(1, size())));
-  }
-  const std::size_t chunks = (n + grain - 1) / grain;
-  std::vector<std::future<void>> futs;
-  futs.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t b = c * grain;
-    const std::size_t e = std::min(n, b + grain);
-    futs.push_back(submit([&fn, b, e] {
-      for (std::size_t i = b; i < e; ++i) fn(i);
-    }));
-  }
-  for (auto& f : futs) f.get();  // rethrows task exceptions
-}
-
 void ThreadPool::enqueue_detached(std::function<void()> fn) {
   {
     std::lock_guard lock(mu_);

@@ -1,10 +1,10 @@
 // A small thread pool used to run independent simulations (parameter-sweep
 // points) in parallel and, since the servicing-lane work (PR 8), to
 // fork-join embarrassingly-parallel stages *inside* one run. Parallel
-// results are deterministic by construction: parallel_for chunks and
-// for_lanes shards are disjoint index ranges fixed by pure functions of
-// (n, lanes), and fork-join reductions merge per-lane accumulators serially
-// in lane order on the calling thread — so results are identical regardless
+// results are deterministic by construction: for_lanes shards are disjoint
+// index ranges fixed by pure functions of (n, lanes), and fork-join
+// reductions merge per-lane accumulators serially in lane order on the
+// calling thread — so results are identical regardless
 // of pool size, host load, or which thread executed which shard (for_lanes
 // lets the caller claim shards the workers haven't reached).
 #pragma once
@@ -68,15 +68,6 @@ class ThreadPool {
     cv_.notify_one();
     return fut;
   }
-
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// Indices are submitted in contiguous chunks of `grain` (0 = pick a
-  /// grain that gives each worker a few chunks) so fine-grained bodies
-  /// amortize the queue mutex + future machinery over many indices instead
-  /// of paying it per index. Exceptions from tasks propagate (first one
-  /// wins).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                    std::size_t grain = 0);
 
   /// Fork-join over `lanes` contiguous shards of [0, n): body(lane, begin,
   /// end) runs concurrently and the call returns only when every lane

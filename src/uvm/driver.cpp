@@ -934,10 +934,14 @@ SimTime Driver::promote_hot_region(const AccessCounterNotification& n,
   if (remote.none()) return t;
 
   // Drop the remote view, migrate the data local, and re-map resident (the
-  // PTE rewrite + membar are charged with the map below). The migrate
-  // charge is made even when no page holds host data.
+  // PTE rewrite + membar are charged with the map below). A remote-mapped
+  // page keeps its data in host memory, so every populated page migrates;
+  // a page never populated (GPU-born behind the remote mapping) is
+  // zero-filled like at every other population site. The migrate charge
+  // is made even when no page holds host data.
   blk.remote_mapped &= ~remote;
-  const PageMask migrate = remote & blk.cpu_resident & blk.ever_populated;
+  const PageMask migrate = remote & blk.ever_populated;
+  t = zero_fill(blk, remote, t);
   t = migrate_h2d(migrate, t);
   blk.cpu_resident &= ~migrate;
 

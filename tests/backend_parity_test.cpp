@@ -287,8 +287,9 @@ const PopulationCase kPopulationCases[] = {
        return k.pages_remote_mapped > 0 && k.counter_promoted_pages > 0;
      },
      0x744df9036a85141eULL},
-    // Data born on the GPU behind a remote mapping: promotion finds no host
-    // copy to migrate and still charges ServiceMigrate, once per promotion.
+    // Data born on the GPU behind a remote mapping: the GPU's remote writes
+    // land in host memory, so promotion migrates every written page (it
+    // zero-fills pages never written, none here).
     {"gpu-born-remote-promotion", "regular", 4, 32,
      [](SimConfig& c) {
        c.access_counters.enabled = true;
@@ -313,7 +314,7 @@ const PopulationCase kPopulationCases[] = {
      [](const DriverCounters& k) {
        return k.counter_promoted_pages > 0 && k.pages_remote_mapped > 0;
      },
-     0x1082870d76bc56ecULL},
+     0xf8aad0490cc43880ULL},
     {"random-thrash-pin", "random", 48, 32,
      [](SimConfig& c) {
        c.driver.prefetch_policy = PrefetchPolicyKind::Off;

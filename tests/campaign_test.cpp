@@ -697,6 +697,39 @@ TEST_F(CampaignTest, ProcessIsolationMatchesInProcessResults) {
   (void)Campaign(thread_cfg, queue_of(q)).run();
   (void)Campaign(process_cfg(store("proc")), queue_of(q)).run();
   EXPECT_EQ(store_snapshot(store("thr")), store_snapshot(store("proc")));
+
+  // One request per non-default knob value. Both worker kinds build the run
+  // with request_sim_config, so this pins the one translation they do not
+  // share: request_cli_args's flag spellings. Each request gets its own
+  // campaigns because the two markov spellings share a content address and
+  // would dedupe to one run. The knobs that only act under memory pressure
+  // run on a 2 MiB GPU.
+  const std::vector<std::string> tweaks = {
+      "backend=gpu",
+      "policy=once",
+      "eviction=2q gpu-mib=2",
+      "chunking=off gpu-mib=2",
+      "thrash=pin gpu-mib=2",
+      "prefetch=markov",
+      "prefetch=on prefetch-policy=markov",
+      "hazard-dma=0.05 hazard-seed=3",
+  };
+  for (std::size_t i = 0; i < tweaks.size(); ++i) {
+    SCOPED_TRACE(tweaks[i]);
+    const std::string n = std::to_string(i);
+    CampaignConfig in_cfg;
+    in_cfg.store_dir = store("thr" + n);
+    in_cfg.workers = 1;
+    const CampaignReport in_rep =
+        Campaign(in_cfg, queue_of(tiny(tweaks[i]))).run();
+    const CampaignReport proc_rep =
+        Campaign(process_cfg(store("proc" + n)), queue_of(tiny(tweaks[i])))
+            .run();
+    EXPECT_EQ(in_rep.completed, 1u);
+    EXPECT_EQ(proc_rep.completed, 1u);
+    EXPECT_EQ(store_snapshot(store("thr" + n)),
+              store_snapshot(store("proc" + n)));
+  }
 }
 
 TEST_F(CampaignTest, ProcessIsolationClassifiesRealCrash) {

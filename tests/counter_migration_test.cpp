@@ -20,18 +20,19 @@ SimConfig promo_cfg(bool promotion) {
   return cfg;
 }
 
-/// A kernel that re-reads the first big page of `r` `reps` times (hot) and
-/// touches the rest once (cold).
-KernelSpec hot_cold_kernel(const VaRange& r, std::uint32_t reps) {
+/// A kernel that re-reads (or re-writes) the first big page of `r` `reps`
+/// times (hot) and touches the rest once (cold).
+KernelSpec hot_cold_kernel(const VaRange& r, std::uint32_t reps,
+                           bool write = false) {
   GridBuilder g("hot_cold");
   AccessStream& hot = g.new_warp();
   for (std::uint32_t i = 0; i < reps; ++i) {
-    hot.add_run(r.first_page, kPagesPerBigPage, false, 300);
+    hot.add_run(r.first_page, kPagesPerBigPage, write, 300);
   }
   for (std::uint64_t p = kPagesPerBigPage; p < r.num_pages; p += 32) {
     auto n = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(32, r.num_pages - p));
-    g.new_warp().add_run(r.first_page + p, n, false, 300);
+    g.new_warp().add_run(r.first_page + p, n, write, 300);
   }
   return g.build(static_cast<double>(r.num_pages + reps));
 }
@@ -91,6 +92,27 @@ TEST(CounterMigration, PromotionUsesPma) {
   EXPECT_GT(r.resident_pages_at_end, 0u);
   // Accounting invariant still holds: H2D bytes == migrated pages.
   EXPECT_EQ(r.bytes_h2d, r.counters.pages_migrated_h2d * kPageSize);
+}
+
+// Data born on the GPU behind a remote mapping lives in host memory: pages
+// the GPU wrote migrate on promotion, and pages nobody ever wrote are
+// zero-filled, as at every other population site.
+TEST(CounterMigration, GpuBornPromotionMigratesWrittenZeroFillsUnwritten) {
+  for (const bool write : {false, true}) {
+    SCOPED_TRACE(write ? "written" : "never written");
+    Simulator sim(promo_cfg(true));
+    RangeId rid =
+        sim.malloc_managed(4ull << 20, "gpu_born", /*host_populated=*/false);
+    MemAdvise a;
+    a.remote_map = true;
+    sim.mem_advise(rid, a);
+    sim.launch(hot_cold_kernel(sim.address_space().range(rid), 64, write));
+    const RunResult r = sim.run();
+    const std::uint64_t promoted = r.counters.counter_promoted_pages;
+    ASSERT_GT(promoted, 0u);
+    EXPECT_EQ(r.counters.pages_migrated_h2d, write ? promoted : 0u);
+    EXPECT_EQ(r.counters.pages_zeroed, write ? 0u : promoted);
+  }
 }
 
 }  // namespace

@@ -235,7 +235,7 @@ TEST_F(LintIndexCache, CorruptCacheEntryReindexes) {
   // Truncate every cache file: the reader must reject them (missing `end`
   // sentinel) and fall back to a re-parse instead of trusting garbage.
   for (const auto& e : fs::directory_iterator(dir_ / "cache")) {
-    write(e.path(), "uvmsim-index 1\n");
+    write(e.path(), "uvmsim-index 2\n");
   }
   const auto r = run();
   EXPECT_EQ(r.hits, 0u);

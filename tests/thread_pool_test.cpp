@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <future>
 #include <stdexcept>
+#include <vector>
 
 namespace uvmsim {
 namespace {
@@ -20,31 +21,10 @@ TEST(ThreadPool, DefaultSizePositive) {
   EXPECT_GE(pool.size(), 1u);
 }
 
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL(); });
-}
-
 TEST(ThreadPool, ExceptionsPropagate) {
   ThreadPool pool(2);
   auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForPropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(10,
-                                 [](std::size_t i) {
-                                   if (i == 5) throw std::logic_error("x");
-                                 }),
-               std::logic_error);
 }
 
 TEST(ThreadPool, ManyTasksAllComplete) {
@@ -61,12 +41,13 @@ TEST(ThreadPool, ManyTasksAllComplete) {
 TEST(ThreadPool, SingleThreadPoolStillWorks) {
   ThreadPool pool(1);
   std::vector<int> order;
-  std::mutex mu;
-  pool.parallel_for(10, [&](std::size_t i) {
-    std::lock_guard lock(mu);
-    order.push_back(static_cast<int>(i));
-  });
-  EXPECT_EQ(order.size(), 10u);
+  std::vector<std::future<void>> futs;
+  for (int i = 0; i < 10; ++i) {
+    futs.push_back(pool.submit([&order, i] { order.push_back(i); }));
+  }
+  for (auto& f : futs) f.get();
+  // One worker drains the queue in submission order.
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST(ThreadPool, LaneRangePartitionIsDisjointAndComplete) {

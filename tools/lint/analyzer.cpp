@@ -586,11 +586,11 @@ std::vector<Extent> find_hot_extents(const std::vector<Token>& t) {
 }
 
 /// Body extents of lambdas passed (at any argument position) to
-/// ThreadPool::submit/parallel_for or SweepRunner::map/sweep call sites —
+/// ThreadPool::submit/for_lanes or SweepRunner::map/sweep call sites —
 /// i.e. code that runs on pool workers.
 std::vector<Extent> find_task_extents(const std::vector<Token>& t) {
   static const std::set<std::string_view> kTaskCalls = {
-      "submit", "parallel_for", "for_lanes", "map", "sweep"};
+      "submit", "for_lanes", "map", "sweep"};
   std::vector<Extent> out;
   for (std::size_t i = 0; i + 2 < t.size(); ++i) {
     if (!(is_p(t[i], ".") || is_p(t[i], "->"))) continue;

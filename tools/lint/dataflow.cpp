@@ -73,10 +73,7 @@ struct RulePass {
     for (std::size_t n = 0; n < graph.node_count(); ++n) {
       const IndexedSymbol& sym = graph.symbol(static_cast<int>(n));
       if (!sym.is_lambda) continue;
-      if (sym.lane_role != LaneRole::ForLanes &&
-          sym.lane_role != LaneRole::ParallelFor) {
-        continue;
-      }
+      if (sym.lane_role != LaneRole::ForLanes) continue;
       const std::set<std::string> locals(sym.locals.begin(),
                                          sym.locals.end());
       const std::set<std::string> refs(sym.ref_captures.begin(),
@@ -92,10 +89,8 @@ struct RulePass {
         if (atomics.count(w.target)) continue;     // std::atomic
         add(static_cast<int>(n), w.line, "lane-capture-escape",
             "'" + w.target +
-                "' is captured shared state mutated inside a " +
-                (sym.lane_role == LaneRole::ForLanes ? "for_lanes"
-                                                     : "parallel_for") +
-                " lane body; index it by a lane-local, make it std::atomic, "
+                "' is captured shared state mutated inside a for_lanes lane "
+                "body; index it by a lane-local, make it std::atomic, "
                 "or declare it UVMSIM_LANE_OWNED and merge in lane order");
       }
     }

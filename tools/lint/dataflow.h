@@ -7,7 +7,7 @@
 //
 //   lane-capture-escape
 //     A by-reference capture (or captured member state) mutated inside a
-//     for_lanes / parallel_for lambda must be lane-indexed, std::atomic, or
+//     for_lanes lambda must be lane-indexed, std::atomic, or
 //     declared UVMSIM_LANE_OWNED.
 //
 //   ordered-reads-lane-owned

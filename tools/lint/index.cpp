@@ -19,7 +19,7 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-constexpr int kIndexFormatVersion = 1;
+constexpr int kIndexFormatVersion = 2;  // 2: LaneRole lost ParallelFor
 
 bool is_id(const Token& t, std::string_view text) {
   return t.kind == TokKind::Identifier && t.text == text;
@@ -529,9 +529,6 @@ struct Parser {
           const bool member_call =
               k >= 1 && (is_p(t[k - 1], ".") || is_p(t[k - 1], "->"));
           if (base == "for_lanes" && member_call) role = LaneRole::ForLanes;
-          if (base == "parallel_for" && member_call) {
-            role = LaneRole::ParallelFor;
-          }
           if (base == "lane_reduce") role = LaneRole::LaneReduce;
           if (base == "submit" && member_call) role = LaneRole::Submit;
           if ((base == "map" || base == "sweep") && member_call) {

@@ -56,7 +56,6 @@ struct LaneWrite {
 enum class LaneRole : std::uint8_t {
   None = 0,
   ForLanes,
-  ParallelFor,
   LaneReduce,
   Submit,
   SweepMap,

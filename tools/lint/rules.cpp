@@ -51,16 +51,16 @@ const std::vector<RuleInfo>& all_rules() {
        "non-const, non-atomic static; shared mutable state is reachable from "
        "SweepRunner/ThreadPool tasks — make it const/atomic or guard it"},
       {"task-io", "concurrency",
-       "stdout/stderr from a lambda passed to ThreadPool::submit/parallel_for "
-       "or SweepRunner::map/sweep; tasks collect, the caller prints (keeps "
+       "stdout/stderr from a lambda passed to ThreadPool::submit or "
+       "SweepRunner::map/sweep; tasks collect, the caller prints (keeps "
        "sweep stdout byte-identical for any UVMSIM_THREADS)"},
       {"task-shared-state", "concurrency",
        "Tracer/Profiler touched from a pool task; per-run instances owned by "
        "the task are fine — document that with a typed suppression"},
       {"lane-capture-escape", "concurrency",
        "by-reference capture (or captured member state) mutated inside a "
-       "for_lanes/parallel_for lane body without being lane-indexed, "
-       "std::atomic, or UVMSIM_LANE_OWNED (--project only)"},
+       "for_lanes lane body without being lane-indexed, std::atomic, or "
+       "UVMSIM_LANE_OWNED (--project only)"},
       // -- H: hygiene --------------------------------------------------------
       {"using-namespace-header", "hygiene",
        "using namespace at header scope leaks into every includer"},

@@ -25,9 +25,8 @@
 #include "core/timeline.h"
 #include "core/report.h"
 #include "baseline/explicit_transfer.h"
+#include "campaign/request.h"
 #include "core/simulator.h"
-#include "uvm/prefetch_policy.h"
-#include "uvm/replay_policy.h"
 #include "workloads/registry.h"
 #include "workloads/trace_io.h"
 
@@ -36,9 +35,11 @@ namespace {
 using namespace uvmsim;
 
 struct CliOptions {
-  std::string workload = "regular";
-  std::uint64_t size_mib = 64;
-  std::uint64_t gpu_mib = 128;
+  /// The knobs a campaign request shares (workload, sizes, policies,
+  /// hazards, seed); campaign::request_sim_config turns them into the run's
+  /// SimConfig, so a CLI run and an in-process campaign run of the same
+  /// request execute one config.
+  campaign::RunRequest req;
   bool size_set = false;  ///< --size-mib given (--full-scale keeps it then)
   bool gpu_set = false;   ///< --gpu-mib given
   /// Full-fidelity Titan V preset: 12 GB GPU memory, 80 SMs, and (unless
@@ -48,23 +49,8 @@ struct CliOptions {
   /// Intra-run servicing lanes; -1 = seed from UVMSIM_THREADS (default 1 =
   /// serial), 0 = hardware concurrency.
   std::int64_t lanes = -1;
-  std::string backend = "driver";  // driver | gpu
-  std::string prefetch = "on";  // off | on | tree | adaptive | markov
-  std::string prefetch_policy = "tree";  // legacy alias: tree | markov
-  std::uint32_t threshold = 51;
-  std::string policy = "batch_flush";
-  std::string eviction = "lru";  // lru | access_counter | clock | 2q
-  std::string chunking = "on";  // on | off
   double split_watermark = -1.0;  // < 0 = keep DriverConfig default
   double fine_watermark = -1.0;
-  std::uint32_t batch_size = 256;
-  std::string thrash = "off";  // off | detect | pin | throttle
-  std::uint64_t seed = 42;
-  std::uint64_t hazard_seed = 0;  // 0 = derive from --seed
-  double hazard_dma = 0.0;
-  double hazard_fb = 0.0;
-  double hazard_pma = 0.0;
-  double hazard_ac = 0.0;
   bool pattern = false;
   bool csv = false;
   bool pipelined = false;
@@ -169,14 +155,14 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       o.explicit_baseline = true;
     } else if (a == "--workload") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.workload = v;
+      o.req.workload = v;
     } else if (a == "--size-mib") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.size_mib = std::stoull(v);
+      o.req.size_mib = std::stoull(v);
       o.size_set = true;
     } else if (a == "--gpu-mib") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.gpu_mib = std::stoull(v);
+      o.req.gpu_mib = std::stoull(v);
       o.gpu_set = true;
     } else if (a == "--full-scale") {
       o.full_scale = true;
@@ -193,25 +179,25 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       }
     } else if (a == "--backend") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.backend = v;
+      o.req.backend = v;
     } else if (a == "--prefetch") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.prefetch = v;
+      o.req.prefetch = v;
     } else if (a == "--prefetch-policy") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.prefetch_policy = v;
+      o.req.prefetch_policy = v;
     } else if (a == "--threshold") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.threshold = static_cast<std::uint32_t>(std::stoul(v));
+      o.req.threshold = static_cast<std::uint32_t>(std::stoul(v));
     } else if (a == "--policy") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.policy = v;
+      o.req.policy = v;
     } else if (a == "--eviction" || a == "--eviction-policy") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.eviction = v;
+      o.req.eviction = v;
     } else if (a == "--chunking") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.chunking = v;
+      o.req.chunking = v;
     } else if (a == "--split-watermark") {
       if (!(v = need_value(i))) return std::nullopt;
       o.split_watermark = std::stod(v);
@@ -220,28 +206,28 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       o.fine_watermark = std::stod(v);
     } else if (a == "--batch-size") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.batch_size = static_cast<std::uint32_t>(std::stoul(v));
+      o.req.batch_size = static_cast<std::uint32_t>(std::stoul(v));
     } else if (a == "--thrash") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.thrash = v;
+      o.req.thrash = v;
     } else if (a == "--seed") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.seed = std::stoull(v);
+      o.req.seed = std::stoull(v);
     } else if (a == "--hazard-seed") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.hazard_seed = std::stoull(v);
+      o.req.hazard_seed = std::stoull(v);
     } else if (a == "--hazard-dma-fail-rate") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.hazard_dma = std::stod(v);
+      o.req.hazard_dma = std::stod(v);
     } else if (a == "--hazard-fb-corrupt-rate") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.hazard_fb = std::stod(v);
+      o.req.hazard_fb = std::stod(v);
     } else if (a == "--hazard-pma-fail-rate") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.hazard_pma = std::stod(v);
+      o.req.hazard_pma = std::stod(v);
     } else if (a == "--hazard-ac-drop-rate") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.hazard_ac = std::stod(v);
+      o.req.hazard_ac = std::stod(v);
     } else if (a == "--hazard-self") {
       if (!(v = need_value(i))) return std::nullopt;
       o.hazard_self = v;
@@ -274,22 +260,26 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       return std::nullopt;
     }
   }
+  if (o.full_scale) {
+    // Titan V fidelity mode (the paper's hardware): 12 GB HBM2 and a
+    // 16 GiB working set unless sized explicitly.
+    if (!o.gpu_set) o.req.gpu_mib = 12 * 1024;
+    if (!o.size_set) o.req.size_mib = 16 * 1024;
+  }
   return o;
 }
 
 std::optional<SimConfig> to_config(const CliOptions& o) {
   SimConfig cfg;
-  std::uint64_t gpu_mib = o.gpu_mib;
-  if (o.full_scale) {
-    // Titan V fidelity mode (the paper's hardware): 12 GB HBM2, 80 SMs.
-    if (!o.gpu_set) gpu_mib = 12 * 1024;
-    cfg.gpu.num_sms = 80;
+  try {
+    cfg = campaign::request_sim_config(o.req, "--");
+  } catch (const ConfigError& e) {
+    std::cerr << "bad " << e.what() << "\n";  // a usage error, not exit 2
+    return std::nullopt;
   }
-  cfg.set_gpu_memory(gpu_mib << 20);
-  cfg.seed = o.seed;
+  // The CLI's own settings, which campaign requests do not carry.
+  if (o.full_scale) cfg.gpu.num_sms = 80;
   cfg.enable_fault_log = o.pattern;
-  cfg.driver.batch_size = o.batch_size;
-  cfg.driver.prefetch_threshold = o.threshold;
   // Intra-run lanes: byte-identical output for any value; only wall-clock
   // changes. Seeded from UVMSIM_THREADS so the sweep knob and the intra-run
   // knob read the same dial.
@@ -297,73 +287,13 @@ std::optional<SimConfig> to_config(const CliOptions& o) {
       o.lanes >= 0 ? clamp_thread_count(static_cast<std::uint64_t>(o.lanes),
                                         "--lanes")
                    : env_threads());
-
-  if (o.backend == "driver") {
-    cfg.driver.backend = ServicingBackendKind::DriverCentric;
-  } else if (o.backend == "gpu") {
-    cfg.driver.backend = ServicingBackendKind::GpuDriven;
-  } else {
-    std::cerr << "bad --backend: " << o.backend << " (driver | gpu)\n";
-    return std::nullopt;
-  }
-
-  try {
-    cfg.driver.prefetch_policy =
-        parse_prefetch_policy(o.prefetch, o.prefetch_policy, "--");
-  } catch (const ConfigError& e) {
-    std::cerr << "bad " << e.what() << "\n";  // a usage error, not exit 2
-    return std::nullopt;
-  }
-
-  if (o.policy == "block") {
-    cfg.driver.replay_policy = ReplayPolicyKind::Block;
-  } else if (o.policy == "batch") {
-    cfg.driver.replay_policy = ReplayPolicyKind::Batch;
-  } else if (o.policy == "batch_flush") {
-    cfg.driver.replay_policy = ReplayPolicyKind::BatchFlush;
-  } else if (o.policy == "once") {
-    cfg.driver.replay_policy = ReplayPolicyKind::Once;
-  } else {
-    std::cerr << "bad --policy: " << o.policy << "\n";
-    return std::nullopt;
-  }
-
-  if (o.eviction == "lru") {
-    cfg.driver.eviction_policy = EvictionPolicyKind::Lru;
-  } else if (o.eviction == "access_counter") {
-    cfg.driver.eviction_policy = EvictionPolicyKind::AccessCounter;
-    cfg.access_counters.enabled = true;
-  } else if (o.eviction == "clock") {
-    cfg.driver.eviction_policy = EvictionPolicyKind::Clock;
-  } else if (o.eviction == "2q") {
-    cfg.driver.eviction_policy = EvictionPolicyKind::TwoQ;
-  } else {
-    std::cerr << "bad --eviction: " << o.eviction
-              << " (lru | access_counter | clock | 2q)\n";
-    return std::nullopt;
-  }
-
   cfg.driver.pipelined_migrations = o.pipelined;
-  if (o.chunking == "on") {
-    cfg.driver.chunking.enabled = true;
-  } else if (o.chunking == "off") {
-    cfg.driver.chunking.enabled = false;
-  } else {
-    std::cerr << "bad --chunking: " << o.chunking << "\n";
-    return std::nullopt;
-  }
   if (o.split_watermark >= 0.0) {
     cfg.driver.chunking.split_watermark = o.split_watermark;
   }
   if (o.fine_watermark >= 0.0) {
     cfg.driver.chunking.fine_watermark = o.fine_watermark;
   }
-
-  cfg.hazards.seed = o.hazard_seed;
-  cfg.hazards.dma_fail_rate = o.hazard_dma;
-  cfg.hazards.fb_corrupt_rate = o.hazard_fb;
-  cfg.hazards.pma_fail_rate = o.hazard_pma;
-  cfg.hazards.ac_drop_rate = o.hazard_ac;
 
   if (!o.trace_out.empty()) {
     auto mask = parse_trace_categories(o.trace_categories);
@@ -378,20 +308,6 @@ std::optional<SimConfig> to_config(const CliOptions& o) {
     cfg.trace.enabled = true;
     cfg.trace.categories = *mask;
     cfg.trace.capacity = o.trace_cap;
-  }
-
-  if (o.thrash != "off") {
-    cfg.driver.thrashing.enabled = true;
-    if (o.thrash == "detect") {
-      cfg.driver.thrashing.mitigation = ThrashMitigation::None;
-    } else if (o.thrash == "pin") {
-      cfg.driver.thrashing.mitigation = ThrashMitigation::Pin;
-    } else if (o.thrash == "throttle") {
-      cfg.driver.thrashing.mitigation = ThrashMitigation::Throttle;
-    } else {
-      std::cerr << "bad --thrash: " << o.thrash << "\n";
-      return std::nullopt;
-    }
   }
   return cfg;
 }
@@ -416,9 +332,7 @@ int run_cli(int argc, char** argv) {
   // ConfigError / SimulationError from trace parsing or workload lookup
   // propagate to main for the distinct exit codes; only plain open/write
   // failures are handled here as usage errors.
-  std::uint64_t size_mib = opts->size_mib;
-  if (opts->full_scale && !opts->size_set) size_mib = 16 * 1024;
-
+  const std::uint64_t size_mib = opts->req.size_mib;
   std::unique_ptr<Workload> wl;
   if (!opts->replay_trace.empty()) {
     std::ifstream in(opts->replay_trace);
@@ -429,7 +343,7 @@ int run_cli(int argc, char** argv) {
     wl = std::make_unique<TraceWorkload>(parse_trace(in),
                                          opts->replay_trace);
   } else {
-    wl = make_workload(opts->workload, size_mib << 20);
+    wl = make_workload(opts->req.workload, size_mib << 20);
   }
   if (!opts->dump_trace.empty()) {
     std::ostringstream out;
@@ -518,7 +432,7 @@ int run_cli(int argc, char** argv) {
   }
 
   if (opts->explicit_baseline) {
-    auto wl2 = make_workload(opts->workload, size_mib << 20);
+    auto wl2 = make_workload(opts->req.workload, size_mib << 20);
     ExplicitResult ex = ExplicitTransfer::run(*cfg, *wl2);
     std::cout << "\nexplicit-transfer baseline: "
               << format_duration(ex.total) << " (UVM is "
