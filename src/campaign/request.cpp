@@ -1,9 +1,11 @@
 #include "campaign/request.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,21 +17,6 @@
 namespace uvmsim::campaign {
 
 namespace {
-
-std::uint64_t parse_u64(const std::string& key, const std::string& v) {
-  if (v.empty() || v[0] == '-') {
-    throw ConfigError("request." + key, "wants a non-negative integer, got '" +
-                                            v + "'");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
-    throw ConfigError("request." + key,
-                      "wants a non-negative integer, got '" + v + "'");
-  }
-  return static_cast<std::uint64_t>(n);
-}
 
 double parse_rate(const std::string& key, const std::string& v) {
   errno = 0;
@@ -66,6 +53,21 @@ std::string hex16(std::uint64_t v) {
 
 }  // namespace
 
+std::uint64_t parse_uint(const std::string& param, const std::string& v,
+                         std::uint64_t max) {
+  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
+    throw ConfigError(param,
+                      "wants a non-negative integer, got '" + v + "'");
+  }
+  errno = 0;
+  const unsigned long long n = std::strtoull(v.c_str(), nullptr, 10);
+  if (errno == ERANGE || n > max) {
+    throw ConfigError(param, "wants an integer no greater than " +
+                                 std::to_string(max) + ", got '" + v + "'");
+  }
+  return static_cast<std::uint64_t>(n);
+}
+
 RunRequest parse_request_line(const std::string& line) {
   RunRequest req;
   std::istringstream ls(line);
@@ -83,9 +85,9 @@ RunRequest parse_request_line(const std::string& line) {
     } else if (key == "trace") {
       req.trace_file = val;
     } else if (key == "size-mib") {
-      req.size_mib = parse_u64(key, val);
+      req.size_mib = parse_uint("request." + key, val, kMaxMib);
     } else if (key == "gpu-mib") {
-      req.gpu_mib = parse_u64(key, val);
+      req.gpu_mib = parse_uint("request." + key, val, kMaxMib);
     } else if (key == "backend") {
       req.backend = val;
     } else if (key == "prefetch") {
@@ -93,7 +95,8 @@ RunRequest parse_request_line(const std::string& line) {
     } else if (key == "prefetch-policy") {
       req.prefetch_policy = val;
     } else if (key == "threshold") {
-      req.threshold = static_cast<std::uint32_t>(parse_u64(key, val));
+      req.threshold = static_cast<std::uint32_t>(parse_uint(
+          "request." + key, val, std::numeric_limits<std::uint32_t>::max()));
     } else if (key == "policy") {
       req.policy = val;
     } else if (key == "eviction") {
@@ -101,11 +104,12 @@ RunRequest parse_request_line(const std::string& line) {
     } else if (key == "chunking") {
       req.chunking = val;
     } else if (key == "batch-size") {
-      req.batch_size = static_cast<std::uint32_t>(parse_u64(key, val));
+      req.batch_size = static_cast<std::uint32_t>(parse_uint(
+          "request." + key, val, std::numeric_limits<std::uint32_t>::max()));
     } else if (key == "thrash") {
       req.thrash = val;
     } else if (key == "seed") {
-      req.seed = parse_u64(key, val);
+      req.seed = parse_uint("request." + key, val);
     } else if (key == "hazard-dma") {
       req.hazard_dma = parse_rate(key, val);
     } else if (key == "hazard-fb") {
@@ -115,7 +119,7 @@ RunRequest parse_request_line(const std::string& line) {
     } else if (key == "hazard-ac") {
       req.hazard_ac = parse_rate(key, val);
     } else if (key == "hazard-seed") {
-      req.hazard_seed = parse_u64(key, val);
+      req.hazard_seed = parse_uint("request." + key, val);
     } else if (key == "sabotage") {
       if (val == "none") {
         req.sabotage = WorkerSabotage::None;

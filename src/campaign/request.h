@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,6 +61,17 @@ struct RunRequest {
   /// used to exercise retry + quarantine. Part of the canonical form.
   WorkerSabotage sabotage = WorkerSabotage::None;
 };
+
+/// Largest MiB count whose byte count (n << 20) fits in 64 bits.
+inline constexpr std::uint64_t kMaxMib =
+    std::numeric_limits<std::uint64_t>::max() >> 20;
+
+/// Parses `v` as a decimal integer in [0, max] — the one integer parser of
+/// queue lines and uvmsim_cli flags. An empty value, a sign, any other
+/// non-digit, or a value above `max` raises ConfigError naming `param`.
+[[nodiscard]] std::uint64_t parse_uint(
+    const std::string& param, const std::string& v,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /// Parses one queue line of `key=value` tokens. Unknown keys and malformed
 /// values raise ConfigError naming the key. Does NOT load trace content —

@@ -1,5 +1,6 @@
 #include "gpu/gpu_engine.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace uvmsim {
@@ -152,8 +153,11 @@ void GpuEngine::step_warp(WarpRef ref) {
 
   SimDuration walk_penalty = 0;
   bool pushed_any = false;
-  std::vector<VirtPage> still_missing;
-  for (VirtPage p : w.pending_pages) {
+  // Lanes that still miss are compacted to the front of pending_pages in
+  // their original order.
+  std::size_t n_missing = 0;
+  for (std::size_t lane = 0; lane < w.pending_pages.size(); ++lane) {
+    const VirtPage p = w.pending_pages[lane];
     bool tlb_hit = sm.utlb.lookup(p);
     if (tlb_hit) {
       ++utlb_hits_;
@@ -195,13 +199,13 @@ void GpuEngine::step_warp(WarpRef ref) {
       ac_->on_resident_access(p, eq_->now());
       continue;
     }
-    still_missing.push_back(p);
+    w.pending_pages[n_missing++] = p;
     // Far-fault: park the lane. A new buffer entry is emitted only if no
     // fault for this base page is already pending (µTLB coalescing at the
     // host page granularity) and the SM still has a free fault slot
     // (hardware throttling).
-    VirtPage pending_key = p - (p % cfg_.fault_granularity_pages);
-    if (pending_faults_.contains(pending_key)) {
+    const std::uint64_t pending_bit = p / cfg_.fault_granularity_pages;
+    if (pending_fault(pending_bit)) {
       ++faults_coalesced_;
       continue;
     }
@@ -222,15 +226,15 @@ void GpuEngine::step_warp(WarpRef ref) {
       pushed_any = true;
       ++w.faults_raised;
       ++ks.faults_raised;
-      pending_faults_.insert(pending_key);
+      set_pending_fault(pending_bit);
       ++sm_outstanding_faults_[w.sm];
     } else if (fault_dropped_) {
       fault_dropped_();
     }
   }
 
-  if (!still_missing.empty()) {
-    w.pending_pages = std::move(still_missing);
+  if (n_missing != 0) {
+    w.pending_pages.resize(n_missing);
     w.state = WarpState::Stalled;
     w.stall_start = eq_->now();
     stalled_.push_back(ref);
@@ -248,6 +252,9 @@ void GpuEngine::step_warp(WarpRef ref) {
 
 void GpuEngine::complete_warp(ActiveKernel& k, Warp& w) {
   w.state = WarpState::Done;
+  // The lane buffer keeps its capacity across records; free it once the
+  // warp retires, since the kernel holds every warp until it completes.
+  std::vector<VirtPage>().swap(w.pending_pages);
   ++k.warps_done;
   if (--k.block_live_warps[w.block_index] == 0) {
     scheduler_.on_block_complete(w.sm);
@@ -269,15 +276,19 @@ void GpuEngine::complete_warp(ActiveKernel& k, Warp& w) {
 void GpuEngine::replay() {
   // The replay retries every parked access; pending-fault markers and SM
   // fault slots reset (unsatisfied accesses will raise fresh entries).
-  pending_faults_.clear();
+  for (const std::uint64_t bit : pending_fault_bits_) {
+    pending_fault_words_[bit / 64] = 0;
+  }
+  pending_fault_bits_.clear();
   sm_outstanding_faults_.assign(sm_outstanding_faults_.size(), 0);
   if (stalled_.empty()) return;
 
-  std::vector<WarpRef> to_resume;
-  to_resume.swap(stalled_);
-  // One replay notification per kernel that had parked warps.
-  std::unordered_set<std::uint64_t> kernels_seen;
-  for (WarpRef ref : to_resume) {
+  to_resume_.clear();
+  to_resume_.swap(stalled_);
+  // One replay notification per kernel that had parked warps. Only a
+  // handful of kernels run at once, so a linear scan is enough.
+  kernels_notified_.clear();
+  for (WarpRef ref : to_resume_) {
     auto it = active_.find(ref.kernel);
     if (it == active_.end()) continue;
     ActiveKernel& k = it->second;
@@ -290,9 +301,29 @@ void GpuEngine::replay() {
     ks.stall_ns += stalled_for;
     ++ks.stall_episodes;
     stall_latency_.add(stalled_for);
-    if (kernels_seen.insert(ref.kernel).second) ++ks.replays_seen;
+    if (std::find(kernels_notified_.begin(), kernels_notified_.end(),
+                  ref.kernel) == kernels_notified_.end()) {
+      kernels_notified_.push_back(ref.kernel);
+      ++ks.replays_seen;
+    }
     schedule_step(ref, cfg_.replay_latency + rng_.next_below(cfg_.jitter_ns + 1));
   }
+}
+
+bool GpuEngine::pending_fault(std::uint64_t bit) const {
+  const std::uint64_t word = bit / 64;
+  return word < pending_fault_words_.size() &&
+         (pending_fault_words_[word] >> (bit % 64) & 1) != 0;
+}
+
+void GpuEngine::set_pending_fault(std::uint64_t bit) {
+  const std::uint64_t word = bit / 64;
+  // Ranges are created after the engine, so the bitmap grows on demand.
+  if (word >= pending_fault_words_.size()) {
+    pending_fault_words_.resize(word + 1, 0);
+  }
+  pending_fault_words_[word] |= std::uint64_t{1} << (bit % 64);
+  pending_fault_bits_.push_back(bit);
 }
 
 void GpuEngine::invalidate_tlbs() {

@@ -200,6 +200,10 @@ class GpuEngine {
   void step_warp(WarpRef ref);
   /// Retires warp `w`; may complete its kernel (invalidating `k`).
   void complete_warp(ActiveKernel& k, Warp& w);
+  /// True if fault-granularity region `bit` (page / fault_granularity)
+  /// has an in-flight fault entry since the last replay.
+  [[nodiscard]] bool pending_fault(std::uint64_t bit) const;
+  void set_pending_fault(std::uint64_t bit);
 
   Config cfg_;
   EventQueue* eq_;
@@ -230,9 +234,15 @@ class GpuEngine {
   std::uint64_t remote_accesses_ = 0;
   LogHistogram stall_latency_;
 
-  /// Pages with an in-flight fault entry since the last replay: further
-  /// faults on them coalesce (no new entry). Cleared on replay.
-  std::unordered_set<VirtPage> pending_faults_;
+  /// Regions with an in-flight fault entry since the last replay, one bit
+  /// per fault-granularity region: further faults in them coalesce (no new
+  /// entry). pending_fault_bits_ lists the set bits, so a replay clears
+  /// only those.
+  std::vector<std::uint64_t> pending_fault_words_;
+  std::vector<std::uint64_t> pending_fault_bits_;
+  /// replay() scratch, kept to reuse its capacity.
+  std::vector<WarpRef> to_resume_;
+  std::vector<std::uint64_t> kernels_notified_;
   /// Outstanding fault entries per SM since the last replay.
   std::vector<std::uint32_t> sm_outstanding_faults_;
 };

@@ -251,6 +251,49 @@ TEST_F(CampaignTest, RequestParsingRejectsMalformedLines) {
   EXPECT_THROW(parse_request_line("sabotage=maybe"), ConfigError);
 }
 
+TEST_F(CampaignTest, RequestParsingRejectsOutOfRangeIntegers) {
+  EXPECT_THROW(parse_request_line("batch-size=-1"), ConfigError);
+  EXPECT_THROW(parse_request_line("batch-size=4294967296"), ConfigError);
+  EXPECT_THROW(parse_request_line("threshold=4294967347"), ConfigError);
+  EXPECT_THROW(parse_request_line("gpu-mib=17592186044416"), ConfigError);
+  EXPECT_THROW(parse_request_line("size-mib=17592186044417"), ConfigError);
+  EXPECT_THROW(parse_request_line("seed=18446744073709551616"), ConfigError);
+  EXPECT_THROW(parse_request_line("seed=+7"), ConfigError);
+  try {
+    (void)parse_request_line("threshold=4294967347");
+    FAIL() << "no ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.param(), "request.threshold");
+  }
+  // The bounds themselves are accepted.
+  const RunRequest r = parse_request_line(
+      "batch-size=4294967295 gpu-mib=17592186044415 "
+      "seed=18446744073709551615");
+  EXPECT_EQ(r.batch_size, 4294967295u);
+  EXPECT_EQ(r.gpu_mib << 20 >> 20, r.gpu_mib);
+  EXPECT_EQ(r.seed, 18446744073709551615ull);
+}
+
+TEST(ParseUint, OneParserForQueueAndCli) {
+  EXPECT_EQ(parse_uint("--n", "0"), 0u);
+  EXPECT_EQ(parse_uint("--n", "007"), 7u);
+  EXPECT_EQ(parse_uint("--n", "255", 255), 255u);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0x10", "1e3", "1.0"}) {
+    EXPECT_THROW((void)parse_uint("--n", bad), ConfigError) << "'" << bad << "'";
+  }
+  EXPECT_THROW((void)parse_uint("--n", "256", 255), ConfigError);
+  EXPECT_THROW((void)parse_uint("--n", "18446744073709551616"), ConfigError);
+  try {
+    (void)parse_uint("--gpu-mib", "17592186044416", kMaxMib);
+    FAIL() << "no ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.param(), "--gpu-mib");
+    EXPECT_EQ(std::string(e.what()),
+              "--gpu-mib: wants an integer no greater than 17592186044415, "
+              "got '17592186044416'");
+  }
+}
+
 TEST_F(CampaignTest, QueueFileErrorsCarryLineNumber) {
   std::istringstream is("workload=regular\nbogus-key=1\n");
   try {

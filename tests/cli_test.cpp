@@ -265,6 +265,40 @@ TEST(Cli, ConfigErrorGetsDistinctExitCode) {
   EXPECT_NE(r2.output.find("config error"), std::string::npos);
 }
 
+TEST(Cli, OutOfRangeIntegersAreUsageErrors) {
+  // Each used to run: -1 wrapped to a 4294967295-fault batch, 2^32+51
+  // truncated to a threshold of 51, and (2^44+1) MiB overflowed << 20
+  // into a 1 MiB GPU.
+  const struct {
+    const char* args;
+    const char* message;
+  } cases[] = {
+      {"--batch-size -1", "bad --batch-size: wants a non-negative integer"},
+      {"--threshold 4294967347",
+       "bad --threshold: wants an integer no greater than 4294967295"},
+      {"--gpu-mib 17592186044417",
+       "bad --gpu-mib: wants an integer no greater than 17592186044415"},
+      {"--size-mib 17592186044416", "bad --size-mib: wants an integer"},
+      {"--seed -3", "bad --seed: wants a non-negative integer"},
+      {"--hazard-seed 18446744073709551616",
+       "bad --hazard-seed: wants an integer no greater than"},
+      {"--trace-cap -1", "bad --trace-cap: wants a non-negative integer"},
+      {"--batch-size 12x", "bad --batch-size: wants a non-negative integer"},
+  };
+  for (const auto& c : cases) {
+    const CmdResult r =
+        run_cli(std::string("--workload regular --size-mib 4 ") + c.args);
+    EXPECT_EQ(r.exit_code, 1) << c.args << ": " << r.output;
+    EXPECT_NE(r.output.find(c.message), std::string::npos)
+        << c.args << ": " << r.output;
+  }
+  // The largest values of each range still parse.
+  const CmdResult max = run_cli(
+      "--workload regular --size-mib 4 --gpu-mib 16 "
+      "--batch-size 4294967295 --seed 18446744073709551615");
+  EXPECT_EQ(max.output.find("wants"), std::string::npos) << max.output;
+}
+
 // Pins the tool-wide exit-code matrix (core/errors.h): 0 success, 1
 // usage / I/O, 2 invalid configuration, 3 simulation failure. uvm_campaign
 // exits with the same table (plus 4 = quarantined) and ProcessWorker

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/page_table.h"
 
 namespace uvmsim {
@@ -227,6 +230,106 @@ TEST_F(GpuEngineTest, ResidentAccessClearsPrefetchedUnused) {
   gpu_.launch(&k);
   eq_.run();
   EXPECT_TRUE(blk.prefetched_unused.none());
+}
+
+// Drains the fault buffer and returns the faulted pages in pop order.
+std::vector<VirtPage> drain_pages(FaultBuffer& fb) {
+  std::vector<VirtPage> pages;
+  while (auto e = fb.pop()) pages.push_back(e->page);
+  return pages;
+}
+
+KernelSpec one_record_kernel(const std::vector<VirtPage>& pages) {
+  KernelSpec k;
+  k.name = "record";
+  k.blocks.emplace_back();
+  AccessStream s;
+  s.add(pages, false, 100);
+  k.blocks.back().warps.push_back(std::move(s));
+  return k;
+}
+
+TEST_F(GpuEngineTest, SixtyFourKbFaultsCoalesceUntilReplay) {
+  GpuEngine::Config c = cfg();
+  c.fault_granularity_pages = 16;
+  GpuEngine gpu(c, eq_, as_, pt_, fb_, ac_);
+  // Pages 3 and 9 share one 64 KB region: one entry, one coalesced lane.
+  const VirtPage first = as_.range(rid_).first_page;
+  KernelSpec k = one_record_kernel({first + 3, first + 9});
+  gpu.launch(&k);
+  eq_.run();
+  EXPECT_TRUE(gpu.has_stalled_warps());
+  EXPECT_EQ(drain_pages(fb_), (std::vector<VirtPage>{first + 3}));
+  EXPECT_EQ(gpu.faults_coalesced(), 1u);
+
+  // The replay clears the pending region, so the unserviced retry raises a
+  // fresh entry for it (and coalesces the second lane again).
+  gpu.replay();
+  eq_.run();
+  EXPECT_EQ(drain_pages(fb_), (std::vector<VirtPage>{first + 3}));
+  EXPECT_EQ(gpu.faults_coalesced(), 2u);
+}
+
+TEST_F(GpuEngineTest, PendingFaultsInALaterRangeCoalesce) {
+  // A fault in the first range sets a pending bit; a range created after
+  // the engine puts its pages far beyond it, so marking them grows the
+  // bitmap, and the earlier bit must survive the growth.
+  const VirtPage a = as_.range(rid_).first_page + 5;
+  KernelSpec k1 = one_record_kernel({a});
+  gpu_.launch(&k1);
+  eq_.run();
+  EXPECT_EQ(drain_pages(fb_), (std::vector<VirtPage>{a}));
+
+  const RangeId far = as_.create_range(64ull << 20, "far");
+  const VirtPage b =
+      as_.range(far).first_page + as_.range(far).num_pages - 1;
+  KernelSpec k2;
+  k2.name = "far";
+  k2.blocks.emplace_back();
+  for (const VirtPage p : {b, b, a}) {
+    AccessStream s;
+    s.add_run(p, 1, false, 100);
+    k2.blocks.back().warps.push_back(std::move(s));
+  }
+  gpu_.launch(&k2, {}, /*stream=*/1);
+  eq_.run();
+  EXPECT_EQ(drain_pages(fb_), (std::vector<VirtPage>{b}));
+  EXPECT_EQ(gpu_.faults_coalesced(), 2u);  // the second b, and a
+
+  // After a replay both regions raise fresh entries.
+  gpu_.replay();
+  eq_.run();
+  std::vector<VirtPage> retried = drain_pages(fb_);
+  std::sort(retried.begin(), retried.end());
+  EXPECT_EQ(retried, (std::vector<VirtPage>{a, b}));
+}
+
+TEST_F(GpuEngineTest, RetriedLanesKeepTheirOrder) {
+  // Lanes 1 and 3 hit resident pages; 0, 2 and 4 miss and park.
+  const VirtPage first = as_.range(rid_).first_page;
+  as_.block(0).gpu_resident.set(page_in_block(first + 1));
+  as_.block(0).gpu_resident.set(page_in_block(first + 3));
+  KernelSpec k = one_record_kernel(
+      {first + 7, first + 1, first + 5, first + 3, first + 2});
+  gpu_.launch(&k);
+  eq_.run();
+  EXPECT_EQ(drain_pages(fb_),
+            (std::vector<VirtPage>{first + 7, first + 5, first + 2}));
+
+  // Unserviced retry: the parked lanes re-fault in their original order.
+  gpu_.replay();
+  eq_.run();
+  EXPECT_EQ(drain_pages(fb_),
+            (std::vector<VirtPage>{first + 7, first + 5, first + 2}));
+
+  // Serve the middle lane; the other two still keep their order.
+  PageMask m;
+  m.set(page_in_block(first + 5));
+  pt_.map_pages(as_.block(0), m);
+  gpu_.replay();
+  eq_.run();
+  EXPECT_EQ(drain_pages(fb_), (std::vector<VirtPage>{first + 7, first + 2}));
+  EXPECT_EQ(gpu_.kernel_stats()[0].page_touches, 3u);
 }
 
 }  // namespace

@@ -20,11 +20,13 @@
 // quarantined.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 
 #include "campaign/campaign.h"
 #include "campaign/executor.h"
+#include "campaign/request.h"
 #include "core/errors.h"
 
 namespace {
@@ -90,7 +92,7 @@ std::optional<CampaignCliOptions> parse(int argc, char** argv) {
       o.cfg.store_dir = v;
     } else if (a == "--workers") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.cfg.workers = std::stoull(v);
+      o.cfg.workers = parse_uint(a, v);
       if (o.cfg.workers == 0) o.cfg.workers = default_workers();
     } else if (a == "--isolate") {
       if (!(v = need_value(i))) return std::nullopt;
@@ -108,13 +110,15 @@ std::optional<CampaignCliOptions> parse(int argc, char** argv) {
       o.cfg.cli_path = v;
     } else if (a == "--timeout-ms") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.cfg.run_timeout_ms = std::stoull(v);
+      o.cfg.run_timeout_ms = parse_uint(a, v);
     } else if (a == "--retries") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.cfg.retry.max_attempts = static_cast<std::uint32_t>(std::stoul(v));
+      o.cfg.retry.max_attempts = static_cast<std::uint32_t>(
+          parse_uint(a, v, std::numeric_limits<std::uint32_t>::max()));
     } else if (a == "--backoff-ms") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.cfg.retry.backoff_base_ms = static_cast<std::uint32_t>(std::stoul(v));
+      o.cfg.retry.backoff_base_ms = static_cast<std::uint32_t>(
+          parse_uint(a, v, std::numeric_limits<std::uint32_t>::max()));
     } else if (a == "--hazard-worker-crash-rate") {
       if (!(v = need_value(i))) return std::nullopt;
       o.cfg.hazards.worker_crash_rate = std::stod(v);
@@ -126,7 +130,7 @@ std::optional<CampaignCliOptions> parse(int argc, char** argv) {
       o.cfg.hazards.journal_truncate_rate = std::stod(v);
     } else if (a == "--hazard-seed") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.cfg.hazards.seed = std::stoull(v);
+      o.cfg.hazards.seed = parse_uint(a, v);
     } else {
       std::cerr << "unknown option: " << a << " (try --help)\n";
       return std::nullopt;
@@ -140,7 +144,13 @@ std::optional<CampaignCliOptions> parse(int argc, char** argv) {
 }
 
 int run_campaign_cli(int argc, char** argv) {
-  auto opts = parse(argc, argv);
+  std::optional<CampaignCliOptions> opts;
+  try {
+    opts = parse(argc, argv);
+  } catch (const uvmsim::ConfigError& e) {
+    std::cerr << "bad " << e.what() << "\n";  // a usage error, not exit 2
+    return 1;
+  }
   if (!opts) return argc > 1 && std::string(argv[1]) == "--help" ? 0 : 1;
 
   std::ifstream qf(opts->queue_path);

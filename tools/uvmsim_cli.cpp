@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -158,11 +159,11 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       o.req.workload = v;
     } else if (a == "--size-mib") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.req.size_mib = std::stoull(v);
+      o.req.size_mib = campaign::parse_uint(a, v, campaign::kMaxMib);
       o.size_set = true;
     } else if (a == "--gpu-mib") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.req.gpu_mib = std::stoull(v);
+      o.req.gpu_mib = campaign::parse_uint(a, v, campaign::kMaxMib);
       o.gpu_set = true;
     } else if (a == "--full-scale") {
       o.full_scale = true;
@@ -188,7 +189,8 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       o.req.prefetch_policy = v;
     } else if (a == "--threshold") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.req.threshold = static_cast<std::uint32_t>(std::stoul(v));
+      o.req.threshold = static_cast<std::uint32_t>(campaign::parse_uint(
+          a, v, std::numeric_limits<std::uint32_t>::max()));
     } else if (a == "--policy") {
       if (!(v = need_value(i))) return std::nullopt;
       o.req.policy = v;
@@ -206,16 +208,17 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       o.fine_watermark = std::stod(v);
     } else if (a == "--batch-size") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.req.batch_size = static_cast<std::uint32_t>(std::stoul(v));
+      o.req.batch_size = static_cast<std::uint32_t>(campaign::parse_uint(
+          a, v, std::numeric_limits<std::uint32_t>::max()));
     } else if (a == "--thrash") {
       if (!(v = need_value(i))) return std::nullopt;
       o.req.thrash = v;
     } else if (a == "--seed") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.req.seed = std::stoull(v);
+      o.req.seed = campaign::parse_uint(a, v);
     } else if (a == "--hazard-seed") {
       if (!(v = need_value(i))) return std::nullopt;
-      o.req.hazard_seed = std::stoull(v);
+      o.req.hazard_seed = campaign::parse_uint(a, v);
     } else if (a == "--hazard-dma-fail-rate") {
       if (!(v = need_value(i))) return std::nullopt;
       o.req.hazard_dma = std::stod(v);
@@ -249,12 +252,7 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       o.trace_categories = v;
     } else if (a == "--trace-cap") {
       if (!(v = need_value(i))) return std::nullopt;
-      try {
-        o.trace_cap = std::stoull(v);
-      } catch (const std::exception&) {
-        std::cerr << "bad --trace-cap: " << v << "\n";
-        return std::nullopt;
-      }
+      o.trace_cap = campaign::parse_uint(a, v);
     } else {
       std::cerr << "unknown option: " << a << " (try --help)\n";
       return std::nullopt;
@@ -315,7 +313,13 @@ std::optional<SimConfig> to_config(const CliOptions& o) {
 /// The CLI body; throws ConfigError / SimulationError out to main, which
 /// maps them to distinct exit codes.
 int run_cli(int argc, char** argv) {
-  auto opts = parse(argc, argv);
+  std::optional<CliOptions> opts;
+  try {
+    opts = parse(argc, argv);
+  } catch (const ConfigError& e) {
+    std::cerr << "bad " << e.what() << "\n";  // a usage error, not exit 2
+    return 1;
+  }
   if (!opts) return argc > 1 && std::string(argv[1]) == "--help" ? 0 : 1;
   auto cfg = to_config(*opts);
   if (!cfg) return 1;
