@@ -247,6 +247,13 @@ SimConfig request_sim_config(const RunRequest& req,
   cfg.seed = req.seed;
   cfg.enable_fault_log = false;
   cfg.driver.batch_size = req.batch_size;
+  // The driver's uvm_perf_prefetch_threshold range; outside it the tree
+  // would silently run as a different prefetch policy.
+  if (req.threshold < 1 || req.threshold > 100) {
+    throw ConfigError(param_prefix + "threshold",
+                      "wants a percent in 1..100, got " +
+                          std::to_string(req.threshold));
+  }
   cfg.driver.prefetch_threshold = req.threshold;
 
   if (req.backend == "driver") {

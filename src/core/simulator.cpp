@@ -59,9 +59,6 @@ Simulator::Simulator(const SimConfig& cfg)
                     lane_pool_.get()};
   DriverConfig dcfg = cfg_.driver;
   dcfg.seed = rng_.next_u64();
-  // Hazard runs can drop fault entries and spin up replay storms; the
-  // storm watchdog is part of surviving them.
-  if (hazards_) dcfg.storm.enabled = true;
   driver_ = std::make_unique<Driver>(dcfg, cfg_.costs, deps,
                                      cfg_.enable_fault_log);
   gpu_->set_interrupt_handler([this] { driver_->on_gpu_interrupt(); });

@@ -260,9 +260,11 @@ PageMask Driver::account_bin(const FaultBatch::Bin& bin, const VaBlock& blk,
   const PageMask need = need_mask(bin, blk);
   counters_.stale_faults += stale.count();
 
-  if (cfg_.storm.enabled) {
+  if (hazards_active()) {
     // Stale faults and intra-bin duplicates are the re-fault signature a
-    // replay storm leaves; feed them to the watchdog.
+    // replay storm leaves; feed them to the watchdog. Hazard runs can drop
+    // fault entries and spin up replay storms, so the watchdog is part of
+    // surviving them; hazard-free runs never pay for it.
     std::uint64_t refaults =
         stale.count() + (bin.fault_entries > bin.faulted.count()
                              ? bin.fault_entries - bin.faulted.count()
@@ -1028,7 +1030,7 @@ SimTime Driver::storm_observe(VaBlockId block, std::uint64_t refaults,
 }
 
 ReplayPolicyKind Driver::effective_replay_policy(SimTime t) const {
-  if (cfg_.storm.enabled && t < storm_until_) {
+  if (hazards_active() && t < storm_until_) {
     return ReplayPolicyKind::BatchFlush;
   }
   return cfg_.replay_policy;

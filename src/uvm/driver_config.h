@@ -34,10 +34,9 @@ struct ErrorRecoveryConfig {
 /// and intra-batch duplicates) in a sliding window; when a block's rate
 /// crosses the threshold the driver escalates the replay policy to
 /// BatchFlush for the cooldown period and forces a buffer flush, draining
-/// the duplicate entries that feed the storm. Off by default — the
-/// Simulator enables it automatically when hazard injection is active.
+/// the duplicate entries that feed the storm. It runs exactly when hazard
+/// injection is active (Driver::hazards_active()).
 struct ReplayStormConfig {
-  bool enabled = false;
   /// Re-faults per block within `window` that trigger escalation.
   std::uint32_t refault_threshold = 64;
   SimDuration window = 500 * kMicrosecond;
@@ -165,7 +164,7 @@ struct DriverConfig {
   /// Retry/backoff/watchdog knobs for hazard recovery.
   ErrorRecoveryConfig recovery;
 
-  /// Replay-storm watchdog (auto-enabled under hazard injection).
+  /// Replay-storm watchdog (runs under hazard injection only).
   ReplayStormConfig storm;
 
   /// Extension: issue H2D migrations asynchronously and keep servicing

@@ -274,6 +274,27 @@ TEST_F(CampaignTest, RequestParsingRejectsOutOfRangeIntegers) {
   EXPECT_EQ(r.seed, 18446744073709551615ull);
 }
 
+TEST_F(CampaignTest, ThresholdOutsidePercentRangeIsConfigError) {
+  for (const char* bad : {"0", "101", "4294967295"}) {
+    // The line parses (and keeps its content address); building its config
+    // fails, naming the queue key.
+    const RunRequest r =
+        parse_request_line(tiny("threshold=" + std::string(bad)));
+    try {
+      (void)request_sim_config(r);
+      FAIL() << "no ConfigError for threshold=" << bad;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.param(), "request.threshold") << bad;
+    }
+  }
+  EXPECT_EQ(request_sim_config(parse_request_line(tiny("threshold=1")))
+                .driver.prefetch_threshold,
+            1u);
+  EXPECT_EQ(request_sim_config(parse_request_line(tiny("threshold=100")))
+                .driver.prefetch_threshold,
+            100u);
+}
+
 TEST(ParseUint, OneParserForQueueAndCli) {
   EXPECT_EQ(parse_uint("--n", "0"), 0u);
   EXPECT_EQ(parse_uint("--n", "007"), 7u);

@@ -267,8 +267,9 @@ TEST(Cli, ConfigErrorGetsDistinctExitCode) {
 
 TEST(Cli, OutOfRangeIntegersAreUsageErrors) {
   // Each used to run: -1 wrapped to a 4294967295-fault batch, 2^32+51
-  // truncated to a threshold of 51, and (2^44+1) MiB overflowed << 20
-  // into a 1 MiB GPU.
+  // truncated to a threshold of 51, (2^44+1) MiB overflowed << 20 into a
+  // 1 MiB GPU, and a threshold outside 1..100 ran as another prefetch
+  // policy.
   const struct {
     const char* args;
     const char* message;
@@ -284,6 +285,11 @@ TEST(Cli, OutOfRangeIntegersAreUsageErrors) {
        "bad --hazard-seed: wants an integer no greater than"},
       {"--trace-cap -1", "bad --trace-cap: wants a non-negative integer"},
       {"--batch-size 12x", "bad --batch-size: wants a non-negative integer"},
+      {"--threshold 0", "bad --threshold: wants a percent in 1..100, got 0"},
+      {"--threshold 101",
+       "bad --threshold: wants a percent in 1..100, got 101"},
+      {"--threshold 4294967295",
+       "bad --threshold: wants a percent in 1..100, got 4294967295"},
   };
   for (const auto& c : cases) {
     const CmdResult r =
@@ -292,11 +298,14 @@ TEST(Cli, OutOfRangeIntegersAreUsageErrors) {
     EXPECT_NE(r.output.find(c.message), std::string::npos)
         << c.args << ": " << r.output;
   }
-  // The largest values of each range still parse.
+  // The bounds of each range still parse.
   const CmdResult max = run_cli(
       "--workload regular --size-mib 4 --gpu-mib 16 "
-      "--batch-size 4294967295 --seed 18446744073709551615");
+      "--batch-size 4294967295 --seed 18446744073709551615 --threshold 100");
   EXPECT_EQ(max.output.find("wants"), std::string::npos) << max.output;
+  const CmdResult min =
+      run_cli("--workload regular --size-mib 4 --gpu-mib 16 --threshold 1");
+  EXPECT_EQ(min.exit_code, 0) << min.output;
 }
 
 // Pins the tool-wide exit-code matrix (core/errors.h): 0 success, 1

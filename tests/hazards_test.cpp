@@ -193,7 +193,6 @@ TEST(PmaRecovery, TransientFailuresBackOffAndRetry) {
 TEST(StormWatchdog, RefaultStormEscalatesPolicyAndFlushes) {
   SimConfig cfg = base();
   cfg.driver.replay_policy = ReplayPolicyKind::Block;  // max refault traffic
-  cfg.driver.storm.enabled = true;
   cfg.driver.storm.refault_threshold = 4;  // hair trigger for the test
   cfg.hazards.fb_corrupt_rate = 0.3;       // duplicates feed the detector
   RunResult r = run_named(cfg, "random", 24ull << 20);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -37,7 +36,6 @@ struct FileData {
   LexedFile lx;
   std::string display;  ///< normalized path used in findings
   std::string key;      ///< canonical path used for include resolution
-  std::uint64_t hash = 0;  ///< FNV-1a of the raw bytes (index cache key)
   bool is_header = false;
   std::vector<std::pair<std::string, int>> project_includes;  ///< "x/y.h",line
   std::set<std::string> system_includes;                      ///< "vector",...
@@ -902,8 +900,6 @@ void check_file(const FileData& fd, std::vector<Finding>& out) {
   }
 }
 
-}  // namespace
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
@@ -935,6 +931,8 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Linter driver.
 // ---------------------------------------------------------------------------
@@ -943,7 +941,6 @@ struct Linter::Impl {
   LintOptions opts;
   std::vector<FileData> files;
   std::map<std::string, std::size_t> by_key;
-  IndexCacheReport cache_report;
 
   bool add_file(const fs::path& p) {
     std::ifstream in(p, std::ios::binary);
@@ -954,7 +951,6 @@ struct Linter::Impl {
     FileData fd;
     fd.display = display_path(p);
     fd.key = file_key(p);
-    fd.hash = content_hash(source);
     fd.lx = lex_file(fd.display, source);
     const std::string& d = fd.display;
     fd.is_header = ends_with(d, ".h") || ends_with(d, ".hpp");
@@ -967,7 +963,7 @@ struct Linter::Impl {
   }
 
   /// Path reported in findings: relative to opts.root when the file lives
-  /// under it, so baselines and golden output are invocation-directory
+  /// under it, so finding ids and golden output are invocation-directory
   /// independent; the normalized spelling otherwise.
   std::string display_path(const fs::path& p) const {
     const std::string rootk = file_key(fs::path(opts.root));
@@ -1112,20 +1108,10 @@ std::vector<Finding> Linter::run() {
 
   // Symbol index per TU — scope suppressions and symbol attribution need it
   // in every mode; project mode additionally feeds it to the call graph.
-  // Only the project pass consults the on-disk cache: per-file runs are
-  // already fast and must not dirty the cache directory.
-  impl_->cache_report = {};
   std::vector<FileIndex> indices(files.size());
-  {
-    IndexCacheStats stats;
-    const std::string& cache =
-        impl_->opts.project ? impl_->opts.cache_dir : std::string();
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      indices[i] = index_file_cached(files[i].lx, files[i].hash, cache,
-                                     &stats);
-      indices[i].path = files[i].display;
-    }
-    impl_->cache_report = {stats.hits, stats.misses};
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    indices[i] = index_file(files[i].lx);
+    indices[i].path = files[i].display;
   }
 
   // Suppressions, with scope comments resolved to function extents.
@@ -1210,8 +1196,6 @@ std::vector<Finding> Linter::run() {
   return findings;
 }
 
-IndexCacheReport Linter::cache_report() const { return impl_->cache_report; }
-
 std::string finding_id(const Finding& f, int ordinal) {
   std::string id = f.rule + ":" + f.file + ":" + f.symbol;
   if (ordinal >= 2) {
@@ -1221,6 +1205,10 @@ std::string finding_id(const Finding& f, int ordinal) {
   return id;
 }
 
+namespace {
+
+/// Ids for a findings list in order, assigning ordinals to duplicates of
+/// the same (rule, file, symbol) triple.
 std::vector<std::string> finding_ids(const std::vector<Finding>& fs) {
   std::map<std::string, int> seen;
   std::vector<std::string> out;
@@ -1232,6 +1220,8 @@ std::vector<std::string> finding_ids(const std::vector<Finding>& fs) {
   }
   return out;
 }
+
+}  // namespace
 
 void write_findings_json(std::ostream& os, const std::vector<Finding>& fs) {
   os << "{\"schema_version\":2,\"count\":" << fs.size() << ",\"findings\":[";

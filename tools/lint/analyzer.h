@@ -16,7 +16,6 @@
 // callgraph.h / dataflow.h).
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -30,7 +29,7 @@ struct Finding {
   std::string category;  ///< rule category, e.g. "determinism"
   std::string message;
   /// Nearest enclosing non-lambda function/method, "" at file scope. Part
-  /// of the stable finding id, so baselines survive line churn.
+  /// of the stable finding id, so ids survive line churn.
   std::string symbol;
 };
 
@@ -41,14 +40,6 @@ struct LintOptions {
   std::string root = ".";
   /// Enables the whole-program pass (call-graph reachability + dataflow).
   bool project = false;
-  /// On-disk index cache directory for the project pass; "" disables
-  /// caching (every TU is re-indexed).
-  std::string cache_dir;
-};
-
-struct IndexCacheReport {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
 };
 
 class Linter {
@@ -69,10 +60,6 @@ class Linter {
   /// their enclosing symbol.
   [[nodiscard]] std::vector<Finding> run();
 
-  /// Index-cache statistics of the last run() (project mode with a cache
-  /// directory only; zeros otherwise).
-  [[nodiscard]] IndexCacheReport cache_report() const;
-
  private:
   struct Impl;
   Impl* impl_;
@@ -81,14 +68,6 @@ class Linter {
 /// Stable id of one finding: "rule:file:symbol". `ordinal` >= 2 appends
 /// "#N" for the Nth finding of the same rule in the same symbol.
 [[nodiscard]] std::string finding_id(const Finding& f, int ordinal);
-
-/// Ids for a findings list in order, assigning ordinals to duplicates of
-/// the same (rule, file, symbol) triple.
-[[nodiscard]] std::vector<std::string> finding_ids(
-    const std::vector<Finding>& fs);
-
-/// Minimal JSON string escaping shared by the JSON/SARIF/baseline writers.
-[[nodiscard]] std::string json_escape(const std::string& s);
 
 /// Serializes findings as a stable JSON document:
 ///   {"schema_version":2,"count":N,"findings":[{"id":...,"file":...,...}]}

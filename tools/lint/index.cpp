@@ -2,12 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <filesystem>
-#include <fstream>
-#include <istream>
-#include <ostream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -16,10 +11,7 @@ namespace uvmsim::lint {
 
 namespace {
 
-namespace fs = std::filesystem;
-
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-constexpr int kIndexFormatVersion = 2;  // 2: LaneRole lost ParallelFor
 
 bool is_id(const Token& t, std::string_view text) {
   return t.kind == TokKind::Identifier && t.text == text;
@@ -732,228 +724,12 @@ struct Parser {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Cache serialization: line-oriented, versioned, names last on each line.
-// ---------------------------------------------------------------------------
-
-void write_sites(std::ostream& os, const char* tag,
-                 const std::vector<FactSite>& sites) {
-  for (const FactSite& s : sites) {
-    os << tag << ' ' << s.line << ' ' << s.what << '\n';
-  }
-}
-
-bool read_rest(std::istringstream& ls, std::string& out) {
-  std::getline(ls, out);
-  while (!out.empty() && (out.front() == ' ')) out.erase(out.begin());
-  return !out.empty();
-}
-
 }  // namespace
-
-std::uint64_t content_hash(const std::string& content) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (unsigned char c : content) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
 
 FileIndex index_file(const LexedFile& lx) {
   Parser p(lx);
   p.run();
   return std::move(p.out);
-}
-
-void write_file_index(std::ostream& os, const FileIndex& fi) {
-  os << "uvmsim-index " << kIndexFormatVersion << '\n';
-  os << "hash " << fi.hash << '\n';
-  os << "path " << fi.path << '\n';
-  for (const std::string& n : fi.lane_owned) os << "laneowned " << n << '\n';
-  for (const std::string& n : fi.atomic_names) os << "atomic " << n << '\n';
-  for (const IndexedSymbol& s : fi.symbols) {
-    os << "sym " << s.decl_line << ' ' << s.name_line << ' '
-       << s.body_begin_line << ' ' << s.body_end_line << ' '
-       << (s.is_hot ? 1 : 0) << (s.is_ordered ? 1 : 0)
-       << (s.is_lambda ? 1 : 0) << (s.default_ref_capture ? 1 : 0) << ' '
-       << s.parent << ' ' << static_cast<int>(s.lane_role) << ' '
-       << s.first_merge_line << ' ' << s.name << '\n';
-    for (const std::string& c : s.ref_captures) os << "cap " << c << '\n';
-    for (const std::string& l : s.locals) os << "local " << l << '\n';
-    for (const CallSite& c : s.calls) {
-      os << "call " << c.line << ' ' << c.local_target << ' ' << c.name
-         << '\n';
-    }
-    write_sites(os, "alloc", s.alloc_sites);
-    write_sites(os, "io", s.io_sites);
-    write_sites(os, "clock", s.clock_sites);
-    write_sites(os, "rng", s.rng_sites);
-    write_sites(os, "muse", s.member_uses);
-    for (const LaneWrite& w : s.lane_writes) {
-      os << "write " << w.line << ' ' << (w.lane_indexed ? 1 : 0) << ' '
-         << w.target << '\n';
-    }
-  }
-  for (const UnorderedLoop& l : fi.loops) {
-    os << "loop " << l.line << ' ' << l.symbol << ' '
-       << (l.direct_io ? 1 : 0) << '\n';
-    for (const std::string& c : l.containers) os << "lcont " << c << '\n';
-    for (const CallSite& c : l.body_calls) {
-      os << "lcall " << c.line << ' ' << c.name << '\n';
-    }
-  }
-  os << "end\n";
-}
-
-bool read_file_index(std::istream& is, FileIndex& fi) {
-  fi = FileIndex{};
-  std::string line;
-  if (!std::getline(is, line)) return false;
-  {
-    std::istringstream ls(line);
-    std::string magic;
-    int version = 0;
-    if (!(ls >> magic >> version) || magic != "uvmsim-index" ||
-        version != kIndexFormatVersion) {
-      return false;
-    }
-  }
-  IndexedSymbol* sym = nullptr;
-  UnorderedLoop* loop = nullptr;
-  bool saw_end = false;
-  while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::string tag;
-    if (!(ls >> tag)) continue;
-    if (tag == "end") {
-      saw_end = true;
-      break;
-    }
-    if (tag == "hash") {
-      if (!(ls >> fi.hash)) return false;
-    } else if (tag == "path") {
-      if (!read_rest(ls, fi.path)) return false;
-    } else if (tag == "laneowned") {
-      std::string n;
-      if (!read_rest(ls, n)) return false;
-      fi.lane_owned.push_back(n);
-    } else if (tag == "atomic") {
-      std::string n;
-      if (!read_rest(ls, n)) return false;
-      fi.atomic_names.push_back(n);
-    } else if (tag == "sym") {
-      IndexedSymbol s;
-      std::string flags;
-      int role = 0;
-      if (!(ls >> s.decl_line >> s.name_line >> s.body_begin_line >>
-            s.body_end_line >> flags >> s.parent >> role >>
-            s.first_merge_line)) {
-        return false;
-      }
-      if (flags.size() != 4) return false;
-      s.is_hot = flags[0] == '1';
-      s.is_ordered = flags[1] == '1';
-      s.is_lambda = flags[2] == '1';
-      s.default_ref_capture = flags[3] == '1';
-      s.lane_role = static_cast<LaneRole>(role);
-      if (!read_rest(ls, s.name)) return false;
-      fi.symbols.push_back(std::move(s));
-      sym = &fi.symbols.back();
-      loop = nullptr;
-    } else if (tag == "loop") {
-      UnorderedLoop l;
-      int dio = 0;
-      if (!(ls >> l.line >> l.symbol >> dio)) return false;
-      l.direct_io = dio != 0;
-      fi.loops.push_back(std::move(l));
-      loop = &fi.loops.back();
-      sym = nullptr;
-    } else if (tag == "lcont" || tag == "lcall") {
-      if (loop == nullptr) return false;
-      if (tag == "lcont") {
-        std::string n;
-        if (!read_rest(ls, n)) return false;
-        loop->containers.push_back(n);
-      } else {
-        CallSite c;
-        if (!(ls >> c.line)) return false;
-        if (!read_rest(ls, c.name)) return false;
-        loop->body_calls.push_back(std::move(c));
-      }
-    } else {
-      if (sym == nullptr) return false;
-      if (tag == "cap" || tag == "local") {
-        std::string n;
-        if (!read_rest(ls, n)) return false;
-        if (tag == "cap") {
-          sym->ref_captures.push_back(n);
-        } else {
-          sym->locals.push_back(n);
-        }
-      } else if (tag == "call") {
-        CallSite c;
-        if (!(ls >> c.line >> c.local_target)) return false;
-        if (!read_rest(ls, c.name)) return false;
-        sym->calls.push_back(std::move(c));
-      } else if (tag == "write") {
-        LaneWrite w;
-        int li = 0;
-        if (!(ls >> w.line >> li)) return false;
-        w.lane_indexed = li != 0;
-        if (!read_rest(ls, w.target)) return false;
-        sym->lane_writes.push_back(std::move(w));
-      } else if (tag == "alloc" || tag == "io" || tag == "clock" ||
-                 tag == "rng" || tag == "muse") {
-        FactSite s;
-        if (!(ls >> s.line)) return false;
-        if (!read_rest(ls, s.what)) return false;
-        if (tag == "alloc") sym->alloc_sites.push_back(std::move(s));
-        else if (tag == "io") sym->io_sites.push_back(std::move(s));
-        else if (tag == "clock") sym->clock_sites.push_back(std::move(s));
-        else if (tag == "rng") sym->rng_sites.push_back(std::move(s));
-        else sym->member_uses.push_back(std::move(s));
-      } else {
-        return false;  // unknown tag: treat the entry as corrupt
-      }
-    }
-  }
-  return saw_end;
-}
-
-FileIndex index_file_cached(const LexedFile& lx, std::uint64_t hash,
-                            const std::string& cache_dir,
-                            IndexCacheStats* stats) {
-  if (cache_dir.empty()) {
-    if (stats != nullptr) ++stats->misses;
-    FileIndex fi = index_file(lx);
-    fi.hash = hash;
-    return fi;
-  }
-  const fs::path dir(cache_dir);
-  std::ostringstream name;
-  name << std::hex << content_hash(lx.path) << ".idx";
-  const fs::path entry = dir / name.str();
-  {
-    std::ifstream in(entry);
-    if (in) {
-      FileIndex fi;
-      if (read_file_index(in, fi) && fi.hash == hash) {
-        if (stats != nullptr) ++stats->hits;
-        return fi;
-      }
-    }
-  }
-  if (stats != nullptr) ++stats->misses;
-  FileIndex fi = index_file(lx);
-  fi.hash = hash;
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (!ec) {
-    std::ofstream out(entry, std::ios::trunc);
-    if (out) write_file_index(out, fi);
-  }
-  return fi;
 }
 
 }  // namespace uvmsim::lint
